@@ -28,6 +28,11 @@ class Dataset {
   double Feature(size_t row, size_t col) const {
     return data_[row * NumFeatures() + col];
   }
+  /// The row's NumFeatures() values, contiguous in the row-major matrix;
+  /// valid until the next AddRow.
+  const double* Row(size_t row) const {
+    return data_.data() + row * NumFeatures();
+  }
   int Label(size_t row) const { return labels_[row]; }
   int64_t Group(size_t row) const { return groups_[row]; }
   double Weight(size_t row) const { return weights_[row]; }

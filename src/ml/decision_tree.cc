@@ -118,8 +118,6 @@ int32_t DecisionTree::Build(const Dataset& data,
   }
   if (best.feature < 0) return make_leaf();
 
-  importance_[static_cast<size_t>(best.feature)] += best.gain;
-
   // Partition rows in place: left side = feature <= threshold.
   const auto mid_it = std::stable_partition(
       rows.begin() + static_cast<ptrdiff_t>(begin),
@@ -134,6 +132,7 @@ int32_t DecisionTree::Build(const Dataset& data,
   // value, sending every row to one side. Fall back to a leaf.
   if (mid == begin || mid == end) return make_leaf();
 
+  importance_[static_cast<size_t>(best.feature)] += best.gain;
   Node node;
   node.feature = best.feature;
   node.threshold = best.threshold;
@@ -160,11 +159,7 @@ double DecisionTree::Predict(const double* features) const {
 }
 
 double DecisionTree::Predict(const Dataset& data, size_t row) const {
-  std::vector<double> features(data.NumFeatures());
-  for (size_t f = 0; f < features.size(); ++f) {
-    features[f] = data.Feature(row, f);
-  }
-  return Predict(features.data());
+  return Predict(data.Row(row));
 }
 
 int DecisionTree::Depth() const {

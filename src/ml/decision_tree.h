@@ -40,6 +40,19 @@ class DecisionTree {
   double Predict(const double* features) const;
   double Predict(const Dataset& data, size_t row) const;
 
+  struct Node {
+    int feature = -1;  // -1 for leaf
+    double threshold = 0.0;
+    int32_t left = -1;
+    int32_t right = -1;
+    double value = 0.0;  // leaf prediction
+    int depth = 0;
+  };
+
+  /// The fitted nodes in preorder: the root is node 0, and every split
+  /// is followed by its left subtree, then its right subtree, so the
+  /// last node is always a leaf.
+  const std::vector<Node>& nodes() const { return nodes_; }
   size_t NumNodes() const { return nodes_.size(); }
   int Depth() const;
   bool IsFitted() const { return !nodes_.empty(); }
@@ -50,15 +63,6 @@ class DecisionTree {
   }
 
  private:
-  struct Node {
-    int feature = -1;  // -1 for leaf
-    double threshold = 0.0;
-    int32_t left = -1;
-    int32_t right = -1;
-    double value = 0.0;  // leaf prediction
-    int depth = 0;
-  };
-
   int32_t Build(const Dataset& data, const std::vector<double>* targets,
                 std::vector<size_t>& rows, size_t begin, size_t end,
                 int depth, common::Rng& rng);

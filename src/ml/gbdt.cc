@@ -81,12 +81,8 @@ void Gbdt::Fit(const Dataset& data, const std::vector<size_t>& rows) {
     common::Rng tree_rng = rng.Fork();
     tree.Fit(data, round_rows, &residual, tree_rng);
     // Update margins with the shrunken tree output.
-    std::vector<double> features(data.NumFeatures());
     for (size_t r : rows) {
-      for (size_t f = 0; f < features.size(); ++f) {
-        features[f] = data.Feature(r, f);
-      }
-      margin[r] += options_.learning_rate * tree.Predict(features.data());
+      margin[r] += options_.learning_rate * tree.Predict(data.Row(r));
     }
     trees_.push_back(std::move(tree));
   }
@@ -101,11 +97,7 @@ double Gbdt::PredictMargin(const double* features) const {
 }
 
 double Gbdt::PredictProba(const Dataset& data, size_t row) const {
-  std::vector<double> features(data.NumFeatures());
-  for (size_t f = 0; f < features.size(); ++f) {
-    features[f] = data.Feature(row, f);
-  }
-  return Sigmoid(PredictMargin(features.data()));
+  return Sigmoid(PredictMargin(data.Row(row)));
 }
 
 std::vector<double> Gbdt::PredictProba(const Dataset& data) const {

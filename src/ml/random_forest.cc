@@ -1,5 +1,6 @@
 #include "ml/random_forest.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -14,6 +15,9 @@ void RandomForest::Fit(const Dataset& data) {
 void RandomForest::Fit(const Dataset& data,
                        const std::vector<size_t>& rows) {
   trees_.clear();
+  nodes_.clear();
+  roots_.clear();
+  depth_ = 0;
   num_features_ = data.NumFeatures();
   if (rows.empty() || num_features_ == 0) return;
 
@@ -63,19 +67,63 @@ void RandomForest::Fit(const Dataset& data,
     tree.Fit(data, bootstrap, /*targets=*/nullptr, tree_rng);
     trees_.push_back(std::move(tree));
   }
+  Compile();
+}
+
+void RandomForest::Compile() {
+  for (const DecisionTree& tree : trees_) {
+    const auto root = static_cast<int32_t>(nodes_.size());
+    roots_.push_back(root);
+    depth_ = std::max(depth_, tree.Depth());
+    for (const DecisionTree::Node& split : tree.nodes()) {
+      const auto self = static_cast<int32_t>(nodes_.size());
+      Node node;
+      node.threshold = split.threshold;
+      node.value = split.value;
+      if (split.feature >= 0) {
+        node.feature = split.feature;
+        node.child[0] = root + split.left;
+        node.child[1] = root + split.right;
+      } else {
+        node.child[0] = node.child[1] = self;
+      }
+      nodes_.push_back(node);
+    }
+  }
+  if (roots_.empty()) return;
+  const size_t blocks = (roots_.size() + kLanes - 1) / kLanes;
+  roots_.resize(blocks * kLanes, static_cast<int32_t>(nodes_.size() - 1));
+}
+
+void RandomForest::MapFeatures(const std::vector<size_t>& columns) {
+  assert(columns.size() == num_features_);
+  for (Node& node : nodes_) {
+    node.feature = static_cast<int32_t>(
+        columns[static_cast<size_t>(node.feature)]);
+  }
+}
+
+double RandomForest::PredictProba(const double* features) const {
+  assert(!trees_.empty());
+  const Node* nodes = nodes_.data();
+  double total = 0.0;
+  for (size_t first = 0; first < roots_.size(); first += kLanes) {
+    int32_t at[kLanes];
+    std::copy_n(roots_.data() + first, kLanes, at);
+    for (int step = 0; step < depth_; ++step) {
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        const Node& node = nodes[at[lane]];
+        at[lane] = node.child[!(features[node.feature] <= node.threshold)];
+      }
+    }
+    const size_t live = std::min(kLanes, trees_.size() - first);
+    for (size_t lane = 0; lane < live; ++lane) total += nodes[at[lane]].value;
+  }
+  return total / static_cast<double>(trees_.size());
 }
 
 double RandomForest::PredictProba(const Dataset& data, size_t row) const {
-  assert(!trees_.empty());
-  std::vector<double> features(data.NumFeatures());
-  for (size_t f = 0; f < features.size(); ++f) {
-    features[f] = data.Feature(row, f);
-  }
-  double total = 0.0;
-  for (const DecisionTree& tree : trees_) {
-    total += tree.Predict(features.data());
-  }
-  return total / static_cast<double>(trees_.size());
+  return PredictProba(data.Row(row));
 }
 
 std::vector<double> RandomForest::PredictProba(const Dataset& data) const {

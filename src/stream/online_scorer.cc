@@ -1,8 +1,6 @@
 #include "stream/online_scorer.h"
 
-#include <utility>
-
-#include "ml/dataset.h"
+#include <string>
 
 namespace mlprov::stream {
 
@@ -32,25 +30,25 @@ common::StatusOr<OnlineScorer> OnlineScorer::Train(
   }
   const core::WasteMitigation mitigation(&dataset, options.mitigation);
   for (size_t v = 0; v < kStreamingVariants.size(); ++v) {
-    scorer.variants_[v] = mitigation.Train(kStreamingVariants[v]);
-    for (size_t col : scorer.variants_[v].columns) {
-      scorer.projected_names_[v].push_back(schema.names[col]);
+    core::TrainedVariant& trained = scorer.variants_[v];
+    trained = mitigation.Train(kStreamingVariants[v]);
+    if (!trained.forest.IsFitted()) {
+      return common::Status::InvalidArgument(
+          "OnlineScorer::Train: the training split (" +
+          std::to_string(mitigation.train_rows().size()) + " of " +
+          std::to_string(dataset.data.NumRows()) +
+          " rows) fits no forest for " +
+          std::string(core::ToString(kStreamingVariants[v])));
     }
+    trained.forest.MapFeatures(trained.columns);
   }
   return scorer;
 }
 
 double OnlineScorer::Score(core::Variant variant,
                            const std::vector<double>& row) const {
-  const size_t v = static_cast<size_t>(variant);
-  const core::TrainedVariant& trained = variants_[v];
-  std::vector<double> projected(trained.columns.size());
-  for (size_t j = 0; j < trained.columns.size(); ++j) {
-    projected[j] = row[trained.columns[j]];
-  }
-  ml::Dataset single(projected_names_[v]);
-  single.AddRow(projected, /*label=*/0);
-  return trained.forest.PredictProba(single, 0);
+  return variants_[static_cast<size_t>(variant)].forest.PredictProba(
+      row.data());
 }
 
 double OnlineScorer::Threshold(core::Variant variant) const {

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -89,13 +88,15 @@ class OnlineScorer {
   /// Trains the three streaming variants on a batch dataset (the warm-up
   /// corpus) with WasteMitigation's grouped split, so thresholds are
   /// chosen exactly like Table 3's. Fails with InvalidArgument on an
-  /// empty dataset or a non-streaming policy variant.
+  /// empty dataset, a non-streaming policy variant, or a training split
+  /// too small to fit every variant's forest.
   static common::StatusOr<OnlineScorer> Train(
       const core::WasteDataset& dataset,
       const OnlineScorerOptions& options = {});
 
-  /// Scores a full-schema featurized row under one variant's forest:
-  /// projects the row to the variant's trained columns and evaluates.
+  /// Scores a full-schema featurized row under one variant's forest,
+  /// reading the variant's columns from the row in place. Equal to the
+  /// batch path's score of the row projected to those columns.
   double Score(core::Variant variant,
                const std::vector<double>& row) const;
   double Threshold(core::Variant variant) const;
@@ -109,9 +110,9 @@ class OnlineScorer {
   OnlineScorer() = default;
 
   OnlineScorerOptions options_;
+  /// Each forest's splits are mapped onto full-schema columns
+  /// (RandomForest::MapFeatures), so Score reads rows unprojected.
   std::array<core::TrainedVariant, 3> variants_;
-  /// Projected feature names per variant (single-row scoring datasets).
-  std::array<std::vector<std::string>, 3> projected_names_;
 };
 
 }  // namespace mlprov::stream

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -142,6 +145,26 @@ TEST(DecisionTreeTest, FeatureImportanceIdentifiesSignal) {
   EXPECT_GT(imp[1], 0.0);
 }
 
+TEST(DecisionTreeTest, DegenerateMidpointSplitEarnsNoImportance) {
+  // The only split lies between two adjacent doubles whose midpoint
+  // rounds onto the larger one, so every row would go left and the node
+  // stays a leaf; its feature must not be credited with the gain.
+  const double lo = std::nextafter(1.0, 2.0);  // 1 + 2^-52
+  const double hi = std::nextafter(lo, 2.0);   // 1 + 2^-51
+  ASSERT_EQ(0.5 * (lo + hi), hi);
+  Dataset d({"x", "constant"});
+  for (int i = 0; i < 4; ++i) {
+    d.AddRow({lo, 5.0}, 0);
+    d.AddRow({hi, 5.0}, 1);
+  }
+  DecisionTree tree(DecisionTree::Options{});
+  common::Rng rng(11);
+  tree.Fit(d, AllRows(d), nullptr, rng);
+  EXPECT_EQ(tree.NumNodes(), 1u);
+  EXPECT_EQ(tree.FeatureImportance(), (std::vector<double>{0.0, 0.0}));
+  EXPECT_EQ(tree.Predict(&lo), 0.5);
+}
+
 TEST(DecisionTreeTest, MinSamplesLeafRespected) {
   Dataset d({"x"});
   for (int i = 0; i < 20; ++i) {
@@ -228,6 +251,130 @@ TEST(RandomForestTest, FeatureImportanceNormalized) {
   ASSERT_EQ(imp.size(), 2u);
   EXPECT_NEAR(imp[0] + imp[1], 1.0, 1e-9);
   EXPECT_GT(imp[0], imp[1]);  // x carries the signal
+}
+
+/// The reference the compiled walk must reproduce bit for bit: every
+/// tree's DecisionTree::Predict, summed in tree order, over the count.
+double PerTreeReference(const RandomForest& forest, const double* row) {
+  double total = 0.0;
+  for (const DecisionTree& tree : forest.trees()) total += tree.Predict(row);
+  return total / static_cast<double>(forest.NumTrees());
+}
+
+/// Rows mixing random values, values exactly on one of the forest's
+/// split thresholds for that feature, +-inf and NaN.
+std::vector<std::vector<double>> ProbeRows(const RandomForest& forest,
+                                           size_t num_features,
+                                           common::Rng& rng) {
+  std::vector<std::vector<double>> thresholds(num_features);
+  for (const DecisionTree& tree : forest.trees()) {
+    for (const DecisionTree::Node& node : tree.nodes()) {
+      if (node.feature >= 0) {
+        thresholds[static_cast<size_t>(node.feature)].push_back(
+            node.threshold);
+      }
+    }
+  }
+  const double specials[] = {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  std::vector<std::vector<double>> rows(300,
+                                        std::vector<double>(num_features));
+  for (std::vector<double>& row : rows) {
+    for (size_t f = 0; f < num_features; ++f) {
+      const uint64_t kind = rng.NextUint64(8);
+      if (kind >= 4 && kind < 7 && !thresholds[f].empty()) {
+        row[f] = thresholds[f][rng.NextUint64(thresholds[f].size())];
+      } else if (kind == 7) {
+        row[f] = specials[rng.NextUint64(3)];
+      } else {
+        row[f] = rng.Normal(0.0, 2.0);
+      }
+    }
+  }
+  return rows;
+}
+
+/// Noisy labels over mixed continuous and few-valued features, so trees
+/// grow deep and split on tied values.
+Dataset NoisyData(int rows, uint64_t seed) {
+  Dataset d({"a", "b", "c", "steps", "d", "e"});
+  common::Rng rng(seed);
+  for (int i = 0; i < rows; ++i) {
+    const double a = rng.Normal(0.0, 1.0);
+    const double b = rng.Normal(0.0, 1.0);
+    const double steps = static_cast<double>(rng.NextUint64(4));
+    const double p = 1.0 / (1.0 + std::exp(-(a - b + 0.5 * steps - 0.7)));
+    d.AddRow({a, b, rng.Uniform(-3.0, 3.0), steps, rng.Normal(1.0, 4.0),
+              rng.NextDouble()},
+             rng.Bernoulli(p) ? 1 : 0);
+  }
+  return d;
+}
+
+TEST(RandomForestTest, CompiledWalkEqualsPerTreeSum) {
+  const Dataset train = NoisyData(500, 21);
+  const size_t lanes = RandomForest::kLanes;
+  common::Rng row_rng(22);
+  for (const size_t num_trees : {size_t{1}, lanes, lanes + 1, size_t{60}}) {
+    for (const int max_depth : {1, 14, 20}) {
+      RandomForest::Options options;
+      options.num_trees = static_cast<int>(num_trees);
+      options.max_depth = max_depth;
+      options.seed = 100 + num_trees + static_cast<uint64_t>(max_depth);
+      RandomForest forest(options);
+      forest.Fit(train);
+      ASSERT_EQ(forest.NumTrees(), num_trees);
+      int deepest = 0;
+      for (const DecisionTree& tree : forest.trees()) {
+        deepest = std::max(deepest, tree.Depth());
+      }
+      // 500 rows rarely grow a tree to depth 20, but every forest of
+      // more than one tree walks deeper than the scorer's default 14.
+      if (max_depth < 20) {
+        EXPECT_EQ(deepest, max_depth) << num_trees << " trees";
+      } else if (num_trees > 1) {
+        EXPECT_GT(deepest, 14) << num_trees << " trees";
+      }
+      for (const auto& row :
+           ProbeRows(forest, train.NumFeatures(), row_rng)) {
+        EXPECT_EQ(forest.PredictProba(row.data()),
+                  PerTreeReference(forest, row.data()))
+            << num_trees << " trees, max_depth " << max_depth;
+      }
+      for (size_t r = 0; r < train.NumRows(); ++r) {
+        EXPECT_EQ(forest.PredictProba(train, r),
+                  PerTreeReference(forest, train.Row(r)));
+      }
+    }
+  }
+}
+
+TEST(RandomForestTest, CompiledWalkHandlesSingleLeafTrees) {
+  // Bootstraps of 4 rows from 10 with one positive are mostly pure and
+  // become single leaves; the rest split once.
+  Dataset d({"x", "y"});
+  for (int i = 0; i < 10; ++i) {
+    d.AddRow({static_cast<double>(i), static_cast<double>(i % 3)},
+             i == 9 ? 1 : 0);
+  }
+  RandomForest::Options options;
+  options.num_trees = static_cast<int>(RandomForest::kLanes) * 2 + 5;
+  options.subsample = 0.4;
+  options.balance_classes = false;
+  RandomForest forest(options);
+  forest.Fit(d);
+  size_t leaves = 0, splits = 0;
+  for (const DecisionTree& tree : forest.trees()) {
+    (tree.NumNodes() == 1 ? leaves : splits) += 1;
+  }
+  ASSERT_GT(leaves, 0u);
+  ASSERT_GT(splits, 0u);
+  common::Rng rng(23);
+  for (const auto& row : ProbeRows(forest, d.NumFeatures(), rng)) {
+    EXPECT_EQ(forest.PredictProba(row.data()),
+              PerTreeReference(forest, row.data()));
+  }
 }
 
 TEST(LogisticRegressionTest, SeparatesLinearBlobs) {

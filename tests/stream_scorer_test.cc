@@ -7,6 +7,7 @@
 #include "core/features.h"
 #include "core/graphlet_analysis.h"
 #include "core/waste_mitigation.h"
+#include "ml/dataset.h"
 #include "simulator/corpus_generator.h"
 #include "stream/online_scorer.h"
 #include "stream/replay.h"
@@ -95,6 +96,36 @@ TEST_F(StreamScorerTest, TrainRejectsBadInputs) {
   mismatched.features.history_window = 7;
   EXPECT_EQ(OnlineScorer::Train(*dataset_, mismatched).status().code(),
             common::StatusCode::kInvalidArgument);
+
+  // One row: the grouped split puts its only pipeline on the test side,
+  // so no forest could be fitted and every score would be meaningless.
+  core::WasteDataset one_row = *dataset_;
+  one_row.data = dataset_->data.Subset({0});
+  one_row.total_cost.resize(1);
+  for (std::vector<double>& cost : one_row.stage_cost) cost.resize(1);
+  one_row.num_pipelines = 1;
+  EXPECT_EQ(OnlineScorer::Train(one_row).status().code(),
+            common::StatusCode::kInvalidArgument);
+}
+
+TEST_F(StreamScorerTest, ScoreEqualsProjectedBatchPath) {
+  const OnlineScorerOptions options;
+  auto scorer = OnlineScorer::Train(*dataset_, options);
+  ASSERT_TRUE(scorer.ok()) << scorer.status();
+  const core::WasteMitigation mitigation(dataset_, options.mitigation);
+  const ml::Dataset& data = dataset_->data;
+  for (const core::Variant variant : kStreamingVariants) {
+    const core::TrainedVariant batch = mitigation.Train(variant);
+    const ml::Dataset projected = data.SelectFeatures(batch.columns);
+    EXPECT_EQ(scorer->Threshold(variant), batch.threshold);
+    for (size_t r = 0; r < data.NumRows(); ++r) {
+      const std::vector<double> row(data.Row(r),
+                                    data.Row(r) + data.NumFeatures());
+      EXPECT_EQ(scorer->Score(variant, row),
+                batch.forest.PredictProba(projected, r))
+          << core::ToString(variant) << " row " << r;
+    }
+  }
 }
 
 TEST_F(StreamScorerTest, EveryGraphletGetsOneSettledDecision) {
