@@ -37,13 +37,18 @@ void BM_StorePutEventChain(benchmark::State& state) {
 BENCHMARK(BM_StorePutEventChain);
 
 void BM_TraceTopologicalOrder(benchmark::State& state) {
-  const sim::PipelineTrace trace = MakeTrace(20, 4);
+  // Arg: lifespan in days. The longer trace shows how the sort scales
+  // with the execution count.
+  const sim::PipelineTrace trace =
+      MakeTrace(static_cast<double>(state.range(0)), 4);
   metadata::TraceView view(&trace.store);
   for (auto _ : state) {
     benchmark::DoNotOptimize(view.TopologicalOrder());
   }
+  state.counters["executions"] =
+      static_cast<double>(trace.store.num_executions());
 }
-BENCHMARK(BM_TraceTopologicalOrder);
+BENCHMARK(BM_TraceTopologicalOrder)->Arg(20)->Arg(160);
 
 void BM_SegmentTraceFast(benchmark::State& state) {
   const sim::PipelineTrace trace =

@@ -4,11 +4,11 @@
 // cost, how big the trace got. Interactive closure queries
 // (--query=anc:ID | desc:ID | lineage:ID | window:FROM-TO) run through
 // the provenance index with wall-clock comparison against the BFS
-// recompute; --index_stats prints the index's footprint and its live
-// validation snapshot. Demonstrates the metadata store, serialization,
-// validation, trace traversal, segmentation, and TraceQuery APIs
-// together. Exits non-zero with a clear message on missing or corrupt
-// input.
+// recompute; --index_stats prints the index's footprint, the trainer
+// count and the validator's summary. Demonstrates the metadata store,
+// serialization, validation, trace traversal, segmentation, and
+// TraceQuery APIs together. Exits non-zero with a clear message on
+// missing or corrupt input.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -57,7 +57,8 @@ double MicrosSince(std::chrono::steady_clock::time_point t0) {
 // the store (CatchUp — the one-time cost a streaming session amortizes
 // record by record), answers --query through core::TraceQuery with
 // wall-clock reporting against the TraceView BFS recompute, and prints
-// the index's footprint and validation snapshot under --index_stats.
+// the index's footprint, the trainer count and the validator's summary
+// under --index_stats.
 // Returns the process exit code (2 on a malformed --query).
 int RunIndexedQueries(const metadata::MetadataStore& store,
                       const common::Flags& flags) {
@@ -73,9 +74,11 @@ int RunIndexedQueries(const metadata::MetadataStore& store,
     std::printf("index: built in %.0fus; %.1f KiB of labels over %zu "
                 "executions, %zu trainer(s)\n",
                 build_us, static_cast<double>(index.label_bytes()) / 1024.0,
-                index.num_indexed_executions(), index.num_trainers());
-    std::printf("index validation snapshot: %s\n\n",
-                index.ValidationSnapshot().Summary().c_str());
+                index.num_indexed_executions(),
+                store.ExecutionsOfType(metadata::ExecutionType::kTrainer)
+                    .size());
+    std::printf("validation: %s\n\n",
+                metadata::TraceValidator().Validate(store).Summary().c_str());
   }
 
   std::string spec = flags.GetString("query", "");

@@ -3,56 +3,11 @@
 #include <algorithm>
 #include <bit>
 
-#include "obs/metrics.h"
-
 namespace mlprov::core {
 
 using metadata::ArtifactId;
-using metadata::ArtifactType;
-using metadata::EventKind;
 using metadata::ExecutionId;
-using metadata::ExecutionType;
 using metadata::MetadataStore;
-
-namespace {
-
-// Type-vocabulary checks mirroring trace_validator.cc (the enums are
-// uint8_t-backed, so only the upper bound can be violated).
-bool ValidArtifactType(ArtifactType type) {
-  return static_cast<int>(type) < metadata::kNumArtifactTypes;
-}
-
-bool ValidExecutionType(ExecutionType type) {
-  return static_cast<int>(type) < metadata::kNumExecutionTypes;
-}
-
-bool ValidEventKind(EventKind kind) {
-  return kind == EventKind::kInput || kind == EventKind::kOutput;
-}
-
-void Note(metadata::ValidationReport& report, metadata::TraceIssueKind kind,
-          int64_t id, std::string detail) {
-  report.issues.push_back(metadata::TraceIssue{kind, id, std::move(detail)});
-  switch (kind) {
-    case metadata::TraceIssueKind::kOrphanArtifact:
-      ++report.orphan_artifacts;
-      break;
-    case metadata::TraceIssueKind::kDanglingEvent:
-      ++report.dangling_events;
-      break;
-    case metadata::TraceIssueKind::kTimeInversion:
-      ++report.time_inversions;
-      break;
-    case metadata::TraceIssueKind::kTruncatedGraphlet:
-      ++report.truncated_graphlets;
-      break;
-    case metadata::TraceIssueKind::kInvalidType:
-      ++report.invalid_types;
-      break;
-  }
-}
-
-}  // namespace
 
 int IdBitset::CountTrailingZeros(uint64_t w) { return std::countr_zero(w); }
 
@@ -84,72 +39,28 @@ bool IdBitset::UnionWith(const IdBitset& other) {
 }
 
 ProvenanceIndex::ProvenanceIndex(const MetadataStore* store,
-                                 const ProvenanceIndexOptions& options)
-    : store_(store), options_(options) {}
+                                 const ProvenanceIndexOptions& /*options*/)
+    : store_(store) {}
 
-void ProvenanceIndex::OnArtifact(const metadata::Artifact& artifact) {
-  if (!ValidArtifactType(artifact.type)) ++tallies_.invalid_types;
-  // Events arrive after their endpoints (feed contract), so a freshly
-  // inserted artifact has no adjacency yet; reading the store keeps
-  // this correct even if an event slipped in between.
-  if (store_->ProducersOf(artifact.id).empty() &&
-      store_->ConsumersOf(artifact.id).empty()) {
-    ++tallies_.orphan_artifacts;
-  }
+void ProvenanceIndex::OnArtifact(const metadata::Artifact& /*artifact*/) {
   ++indexed_artifacts_;
 }
 
-void ProvenanceIndex::OnExecution(const metadata::Execution& execution) {
+void ProvenanceIndex::OnExecution(const metadata::Execution& /*execution*/) {
   anc_.emplace_back();
-  anc_cut_.emplace_back();
-  tmark_.emplace_back();
   out_.emplace_back();
-  uint8_t flags = 0;
-  if (execution.type == ExecutionType::kTrainer) flags |= kTrainerFlag;
-  if (execution.type == ExecutionType::kTrainer ||
-      IsSegmentationStop(execution.type)) {
-    flags |= kStopFlag;
-  }
-  exec_flags_.push_back(flags);
-  int32_t ord = -1;
-  if ((flags & kTrainerFlag) != 0) {
-    ord = static_cast<int32_t>(trainers_.size());
-    trainers_.push_back(execution.id);
-  }
-  trainer_ord_.push_back(ord);
-
-  if (!ValidExecutionType(execution.type)) ++tallies_.invalid_types;
-  if (execution.end_time < execution.start_time) ++tallies_.time_inversions;
-  if (execution.type == ExecutionType::kTrainer &&
-      store_->InputsOf(execution.id).empty()) {
-    ++tallies_.truncated_graphlets;
-  }
   ++indexed_executions_;
 }
 
 void ProvenanceIndex::OnEvent(const metadata::Event& event) {
-  const auto num_executions = static_cast<int64_t>(store_->num_executions());
-  const auto num_artifacts = static_cast<int64_t>(store_->num_artifacts());
-  const bool exec_ok =
-      event.execution >= 1 && event.execution <= num_executions;
-  const bool artifact_ok =
-      event.artifact >= 1 && event.artifact <= num_artifacts;
-
-  if (exec_ok && artifact_ok) {
-    // Mirror the store's adjacency routing exactly: kInput indexes as an
-    // input edge, every other kind (including hostile enum values) as an
-    // output edge. The store has already indexed this event, so degree
-    // transitions read post-insert adjacency sizes.
-    if (store_->ProducersOf(event.artifact).size() +
-            store_->ConsumersOf(event.artifact).size() ==
-        1) {
-      --tallies_.orphan_artifacts;  // first edge healed the orphan
-    }
-    if (event.kind == EventKind::kInput) {
-      if (IsTrainer(event.execution) &&
-          store_->InputsOf(event.execution).size() == 1) {
-        --tallies_.truncated_graphlets;
-      }
+  // Mirror the store's adjacency routing exactly: events with a dangling
+  // endpoint never enter adjacency; kInput indexes as an input edge,
+  // every other kind (including hostile enum values) as an output edge.
+  if (event.execution >= 1 &&
+      static_cast<size_t>(event.execution) <= store_->num_executions() &&
+      event.artifact >= 1 &&
+      static_cast<size_t>(event.artifact) <= store_->num_artifacts()) {
+    if (event.kind == metadata::EventKind::kInput) {
       for (ExecutionId producer : store_->ProducersOf(event.artifact)) {
         AddEdge(producer, event.execution);
       }
@@ -159,77 +70,22 @@ void ProvenanceIndex::OnEvent(const metadata::Event& event) {
       }
     }
   }
-
-  // Validation tallies, mirroring TraceValidator's Scan.
-  if (!exec_ok || !artifact_ok || !ValidEventKind(event.kind)) {
-    ++tallies_.dangling_events;
-  } else if (event.kind == EventKind::kOutput) {
-    const metadata::Execution& producer =
-        store_->executions()[static_cast<size_t>(event.execution) - 1];
-    if (event.time < producer.start_time) ++tallies_.time_inversions;
-  }
   ++indexed_events_;
 }
 
 void ProvenanceIndex::CatchUp() {
-  const auto& artifacts = store_->artifacts();
-  const auto& executions = store_->executions();
-  const auto& events = store_->events();
-  const bool artifacts_pending = indexed_artifacts_ < artifacts.size();
-  const bool events_pending = indexed_events_ < events.size();
-
-  for (size_t i = indexed_artifacts_; i < artifacts.size(); ++i) {
-    if (!ValidArtifactType(artifacts[i].type)) ++tallies_.invalid_types;
-  }
-  indexed_artifacts_ = artifacts.size();
-
-  const bool executions_pending = indexed_executions_ < executions.size();
-  for (size_t i = indexed_executions_; i < executions.size(); ++i) {
-    const metadata::Execution& e = executions[i];
-    anc_.emplace_back();
-    anc_cut_.emplace_back();
-    tmark_.emplace_back();
-    out_.emplace_back();
-    uint8_t flags = 0;
-    if (e.type == ExecutionType::kTrainer) flags |= kTrainerFlag;
-    if (e.type == ExecutionType::kTrainer || IsSegmentationStop(e.type)) {
-      flags |= kStopFlag;
-    }
-    exec_flags_.push_back(flags);
-    int32_t ord = -1;
-    if ((flags & kTrainerFlag) != 0) {
-      ord = static_cast<int32_t>(trainers_.size());
-      trainers_.push_back(e.id);
-    }
-    trainer_ord_.push_back(ord);
-    if (!ValidExecutionType(e.type)) ++tallies_.invalid_types;
-    if (e.end_time < e.start_time) ++tallies_.time_inversions;
-  }
-  indexed_executions_ = executions.size();
-
-  if (events_pending) {
-    const auto num_executions = static_cast<int64_t>(executions.size());
-    const auto num_artifacts = static_cast<int64_t>(artifacts.size());
-    for (size_t i = indexed_events_; i < events.size(); ++i) {
-      const metadata::Event& ev = events[i];
-      const bool exec_ok =
-          ev.execution >= 1 && ev.execution <= num_executions;
-      const bool artifact_ok =
-          ev.artifact >= 1 && ev.artifact <= num_artifacts;
-      if (!exec_ok || !artifact_ok || !ValidEventKind(ev.kind)) {
-        ++tallies_.dangling_events;
-      } else if (ev.kind == EventKind::kOutput) {
-        const metadata::Execution& producer =
-            executions[static_cast<size_t>(ev.execution) - 1];
-        if (ev.time < producer.start_time) ++tallies_.time_inversions;
-      }
-    }
-    indexed_events_ = events.size();
+  const size_t num_artifacts = store_->num_artifacts();
+  anc_.resize(store_->num_executions());
+  out_.resize(store_->num_executions());
+  indexed_artifacts_ = num_artifacts;
+  indexed_executions_ = store_->num_executions();
+  if (indexed_events_ < store_->num_events()) {
+    indexed_events_ = store_->num_events();
     // Edges come from the store's adjacency — the ground truth for which
     // events were actually indexed (an event inserted leniently before
     // its endpoint existed never enters adjacency). AddEdge deduplicates,
     // so re-sweeping known pairs is harmless.
-    for (size_t a = 1; a <= artifacts.size(); ++a) {
+    for (size_t a = 1; a <= num_artifacts; ++a) {
       const auto id = static_cast<ArtifactId>(a);
       const auto& producers = store_->ProducersOf(id);
       if (producers.empty()) continue;
@@ -239,29 +95,6 @@ void ProvenanceIndex::CatchUp() {
       }
     }
   }
-  // Degree-dependent tallies (orphans, truncated trainers) cannot be
-  // transition-tracked in a batch, so recount them from adjacency.
-  if (artifacts_pending || executions_pending || events_pending) {
-    RecountDegreeTallies();
-  }
-}
-
-void ProvenanceIndex::RecountDegreeTallies() {
-  size_t orphans = 0;
-  for (const metadata::Artifact& a : store_->artifacts()) {
-    if (store_->ProducersOf(a.id).empty() &&
-        store_->ConsumersOf(a.id).empty()) {
-      ++orphans;
-    }
-  }
-  size_t truncated = 0;
-  for (const metadata::Execution& e : store_->executions()) {
-    if (e.type == ExecutionType::kTrainer && store_->InputsOf(e.id).empty()) {
-      ++truncated;
-    }
-  }
-  tallies_.orphan_artifacts = orphans;
-  tallies_.truncated_graphlets = truncated;
 }
 
 bool ProvenanceIndex::InSync() const {
@@ -271,7 +104,6 @@ bool ProvenanceIndex::InSync() const {
 }
 
 void ProvenanceIndex::AddEdge(ExecutionId u, ExecutionId v) {
-  if (u >= v) edges_monotone_ = false;
   std::vector<ExecutionId>& outs = out_[static_cast<size_t>(u) - 1];
   for (ExecutionId existing : outs) {
     if (existing == v) return;
@@ -281,31 +113,14 @@ void ProvenanceIndex::AddEdge(ExecutionId u, ExecutionId v) {
 }
 
 bool ProvenanceIndex::ApplyEdge(ExecutionId u, ExecutionId v) {
-  const size_t ui = static_cast<size_t>(u) - 1;
-  const size_t vi = static_cast<size_t>(v) - 1;
-  bool changed = anc_[vi].Set(static_cast<size_t>(u));
-  changed |= anc_[vi].UnionWith(anc_[ui]);
-  const bool cut_source =
-      options_.segmentation.cut_ancestors_at_trainers && IsTrainer(u);
-  if (!cut_source) {
-    changed |= anc_cut_[vi].Set(static_cast<size_t>(u));
-    changed |= anc_cut_[vi].UnionWith(anc_cut_[ui]);
-  }
-  if (!IsStop(v)) {
-    if (IsTrainer(u)) {
-      changed |= tmark_[vi].Set(static_cast<size_t>(trainer_ord_[ui]));
-    } else if (!IsStop(u)) {
-      changed |= tmark_[vi].UnionWith(tmark_[ui]);
-    }
-  }
-  return changed;
+  IdBitset& label = anc_[static_cast<size_t>(v) - 1];
+  const bool added = label.Set(static_cast<size_t>(u));
+  return label.UnionWith(anc_[static_cast<size_t>(u) - 1]) || added;
 }
 
 void ProvenanceIndex::PropagateFrom(ExecutionId v) {
   if (out_[static_cast<size_t>(v) - 1].empty()) return;  // feed-order case
-  if (in_worklist_.size() < exec_flags_.size()) {
-    in_worklist_.resize(exec_flags_.size(), 0);
-  }
+  if (in_worklist_.size() < anc_.size()) in_worklist_.resize(anc_.size(), 0);
   worklist_.clear();
   worklist_.push_back(v);
   in_worklist_[static_cast<size_t>(v) - 1] = 1;
@@ -383,119 +198,9 @@ bool ProvenanceIndex::IsAncestor(ExecutionId ancestor,
   return i < anc_.size() && anc_[i].Test(static_cast<size_t>(ancestor));
 }
 
-std::vector<ExecutionId> ProvenanceIndex::AncestorsCutAtTrainers(
-    ExecutionId exec) const {
-  std::vector<ExecutionId> out;
-  const size_t i = static_cast<size_t>(exec) - 1;
-  if (i >= anc_cut_.size()) return out;
-  anc_cut_[i].ForEachSet([&](size_t bit) {
-    if (static_cast<ExecutionId>(bit) != exec) {
-      out.push_back(static_cast<ExecutionId>(bit));
-    }
-  });
-  return out;
-}
-
-std::vector<ExecutionId> ProvenanceIndex::SegmentationDescendants(
-    ExecutionId trainer) const {
-  std::vector<ExecutionId> out;
-  const size_t i = static_cast<size_t>(trainer) - 1;
-  if (i >= trainer_ord_.size() || trainer_ord_[i] < 0) return out;
-  const auto ord = static_cast<size_t>(trainer_ord_[i]);
-  for (size_t x = 1; x <= tmark_.size(); ++x) {
-    if (tmark_[x - 1].Test(ord)) out.push_back(static_cast<ExecutionId>(x));
-  }
-  return out;
-}
-
-bool ProvenanceIndex::IsSegmentationStop(ExecutionType type) const {
-  if (type == ExecutionType::kTrainer) return true;
-  for (ExecutionType stop : options_.segmentation.descendant_stop) {
-    if (stop == type) return true;
-  }
-  return false;
-}
-
-std::vector<ExecutionId> ProvenanceIndex::TopologicalOrder() const {
-  // Monotone edges ⇒ every dependency points low id → high id ⇒ the
-  // min-heap Kahn order TraceView computes is exactly 1..n (induction:
-  // when 1..k-1 are emitted, k's predecessors are all relaxed and k is
-  // the smallest ready id).
-  if (InSync() && edges_monotone_) {
-    std::vector<ExecutionId> order(store_->num_executions());
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<ExecutionId>(i + 1);
-    }
-    return order;
-  }
-  return metadata::TraceView(store_).TopologicalOrder();
-}
-
-metadata::ValidationReport ProvenanceIndex::ValidationSnapshot() const {
-  // Byte-identical re-derivation of TraceValidator's Scan (same order,
-  // same detail strings) so index holders can drop in for Validate().
-  // Property-tested against it at every ingest prefix.
-  metadata::ValidationReport report;
-  const auto num_artifacts = static_cast<int64_t>(store_->num_artifacts());
-  const auto num_executions = static_cast<int64_t>(store_->num_executions());
-
-  for (const metadata::Artifact& a : store_->artifacts()) {
-    if (!ValidArtifactType(a.type)) {
-      Note(report, metadata::TraceIssueKind::kInvalidType, a.id,
-           "artifact type " + std::to_string(static_cast<int>(a.type)));
-    }
-    if (store_->ProducersOf(a.id).empty() &&
-        store_->ConsumersOf(a.id).empty()) {
-      Note(report, metadata::TraceIssueKind::kOrphanArtifact, a.id,
-           "artifact with no producer or consumer");
-    }
-  }
-
-  for (const metadata::Execution& e : store_->executions()) {
-    if (!ValidExecutionType(e.type)) {
-      Note(report, metadata::TraceIssueKind::kInvalidType, e.id,
-           "execution type " + std::to_string(static_cast<int>(e.type)));
-    }
-    if (e.end_time < e.start_time) {
-      Note(report, metadata::TraceIssueKind::kTimeInversion, e.id,
-           "execution ends " +
-               std::to_string(static_cast<uint64_t>(e.start_time) -
-                              static_cast<uint64_t>(e.end_time)) +
-               "s before it starts");
-    }
-    if (e.type == ExecutionType::kTrainer && store_->InputsOf(e.id).empty()) {
-      Note(report, metadata::TraceIssueKind::kTruncatedGraphlet, e.id,
-           "trainer with no input events");
-    }
-  }
-
-  int64_t event_index = 0;
-  for (const metadata::Event& ev : store_->events()) {
-    const bool bad_exec = ev.execution < 1 || ev.execution > num_executions;
-    const bool bad_artifact = ev.artifact < 1 || ev.artifact > num_artifacts;
-    if (bad_exec || bad_artifact || !ValidEventKind(ev.kind)) {
-      Note(report, metadata::TraceIssueKind::kDanglingEvent, event_index,
-           "event (exec " + std::to_string(ev.execution) + ", artifact " +
-               std::to_string(ev.artifact) + ")");
-    } else if (ev.kind == EventKind::kOutput) {
-      const metadata::Execution& producer =
-          store_->executions()[static_cast<size_t>(ev.execution) - 1];
-      if (ev.time < producer.start_time) {
-        Note(report, metadata::TraceIssueKind::kTimeInversion, event_index,
-             "output event precedes its execution's start");
-      }
-    }
-    ++event_index;
-  }
-  MLPROV_COUNTER_ADD("trace.validation_issues", report.issues.size());
-  return report;
-}
-
 size_t ProvenanceIndex::label_bytes() const {
   size_t total = 0;
   for (const IdBitset& b : anc_) total += b.capacity_bytes();
-  for (const IdBitset& b : anc_cut_) total += b.capacity_bytes();
-  for (const IdBitset& b : tmark_) total += b.capacity_bytes();
   return total;
 }
 
@@ -545,41 +250,12 @@ common::StatusOr<std::vector<ArtifactId>> TraceQuery::AncestorArtifactsOf(
 common::StatusOr<std::vector<ExecutionId>> TraceQuery::DescendantsOf(
     ExecutionId exec, const metadata::TraverseOptions& options) const {
   MLPROV_RETURN_IF_ERROR(CheckExecution(exec));
-  const bool has_predicate = static_cast<bool>(options.stop);
-  if (!has_predicate && options.stop_types.empty()) {
+  if (!options.stop && options.stop_types.empty()) {
     MLPROV_RETURN_IF_ERROR(CheckInSync());
     return index_->Descendants(exec);
   }
-  if (!has_predicate) {
-    // The segmentation stop set has a precomputed label column when the
-    // start node is a Trainer; any other stop vocabulary walks the BFS.
-    bool matches = true;
-    for (ExecutionType t : options.stop_types) {
-      if (!index_->IsSegmentationStop(t)) {
-        matches = false;
-        break;
-      }
-    }
-    if (matches) {
-      std::vector<ExecutionType> stops = {ExecutionType::kTrainer};
-      stops.insert(stops.end(),
-                   index_->options().segmentation.descendant_stop.begin(),
-                   index_->options().segmentation.descendant_stop.end());
-      std::sort(stops.begin(), stops.end());
-      stops.erase(std::unique(stops.begin(), stops.end()), stops.end());
-      std::vector<ExecutionType> asked = options.stop_types;
-      std::sort(asked.begin(), asked.end());
-      asked.erase(std::unique(asked.begin(), asked.end()), asked.end());
-      const metadata::Execution& e =
-          store_->executions()[static_cast<size_t>(exec) - 1];
-      if (asked == stops && e.type == ExecutionType::kTrainer) {
-        MLPROV_RETURN_IF_ERROR(CheckInSync());
-        return index_->SegmentationDescendants(exec);
-      }
-    }
-  }
-  // General fallback: the TraceView walk against the store (identical
-  // code path, so results stay byte-identical for any predicate).
+  // Any stop: the TraceView walk against the store (identical code
+  // path, so results stay byte-identical for any predicate).
   return metadata::TraceView(store_).DescendantExecutions(exec, options);
 }
 
@@ -654,10 +330,6 @@ common::StatusOr<std::vector<ExecutionId>> TraceQuery::TimeWindowSlice(
     }
   }
   return out;
-}
-
-std::vector<ExecutionId> TraceQuery::TopologicalOrder() const {
-  return index_->TopologicalOrder();
 }
 
 }  // namespace mlprov::core

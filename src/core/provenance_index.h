@@ -3,55 +3,36 @@
 
 /// Incremental provenance index + TraceQuery engine (ROADMAP item 2).
 ///
-/// metadata::TraceView recomputes ancestor/descendant closures and
-/// topological order from scratch on every call; at millions of
-/// executions that is the next scaling wall. ProvenanceIndex maintains
-/// per-execution reachability labels *incrementally* as records arrive
-/// (the streaming session feeds it one record at a time, exactly like
-/// the StreamingSegmenter), so closure queries decode a bitset instead
-/// of walking the graph — no full recompute on query.
+/// metadata::TraceView recomputes ancestor/descendant closures from
+/// scratch on every call; at millions of executions that is the next
+/// scaling wall. ProvenanceIndex maintains one reachability label per
+/// execution *incrementally* as records arrive (the streaming session
+/// feeds it one record at a time, in lockstep with its store), so
+/// closure queries decode a bitset instead of walking the graph — no
+/// full recompute on query.
 ///
-/// Labeling scheme (one bitset triple per execution, grown lazily):
-///  - anc:      the full ancestor closure — bit u set iff execution u
-///              reaches this execution through output→input edges.
-///  - anc_cut:  ancestors reachable via Trainer-free paths — exactly the
-///              rule-(a) member set of Appendix A segmentation (the
-///              warm-start edge is a cut).
-///  - tmark:    a bitset over *trainer ordinals* — trainer T's bit is
-///              set iff T reaches this execution through a path whose
-///              interior avoids the rule-(c) stop set; never propagated
-///              into stop-typed executions. Decoding one trainer's
-///              column yields its rule-(c) descendant set.
+/// Label: `anc`, the full ancestor closure — bit u set iff execution u
+/// reaches this execution through output→input edges. Descendants are
+/// the column scan "is e in anc[x]" over all rows.
 ///
 /// Incremental-maintenance invariant: after every OnArtifact /
 /// OnExecution / OnEvent callback (or CatchUp), the labels equal the
 /// least fixpoint of
-///     anc(v)     = ⋃ over edges u→v of {u} ∪ anc(u)
-///     anc_cut(v) = ⋃ over edges u→v, u not Trainer, of {u} ∪ anc_cut(u)
-///     tmark(v)   = ⋃ over edges u→v, v not stop, of C(u)
-///       where C(u) = {ord(u)} if u is a Trainer, ∅ if u is a non-Trainer
-///       stop, tmark(u) otherwise
+///     anc(v) = ⋃ over edges u→v of {u} ∪ anc(u)
 /// over the execution-level edge set {u→v : some artifact is an output
 /// of u and an input of v}, derived from events exactly as the store's
 /// adjacency indexes them. New edges are applied with a worklist
 /// propagation; in feed order (the newest node has no out-edges) the
-/// worklist is empty and maintenance is a handful of bitset unions.
+/// worklist is empty and maintenance is one bitset union per edge. On a
+/// corrupt cyclic store the fixpoint puts a node in its own label; the
+/// decoders drop that bit, so every decode equals the TraceView BFS on
+/// any store.
 ///
-/// Monotone-edge gate: the index tracks whether every edge goes from a
-/// lower to a higher id (`edges_monotone()`). Monotone edges imply a
-/// DAG, which is what makes label decoding *byte-identical* to the BFS
-/// walks (on a corrupt cyclic store a label fixpoint can reach through
-/// nodes a BFS refuses to expand). Consumers that need byte-identity on
-/// arbitrary stores (the indexed graphlet extraction, topological
-/// order) check the gate and fall back to the BFS when it is off. Every
-/// feed the simulator produces is monotone.
-///
-/// Memory cost per execution: 2 execution-bitsets + 1 trainer-ordinal
-/// bitset ≈ (2·n + t)/8 bytes for a trace of n executions and t
-/// trainers — ~2.5 KB per execution at n = 10 000, a few MB per large
-/// trace. Labels are per-trace and never shared, so under --shards=N
-/// each shard owns exactly the indexes of the pipelines routed to it
-/// (the shard-locality argument: no cross-shard label traffic exists).
+/// Memory cost per execution: one execution-bitset ≈ n/8 bytes for a
+/// trace of n executions — ~1.25 KB per execution at n = 10 000.
+/// Labels are per-trace and never shared, so under --shards=N each
+/// shard owns exactly the indexes of the pipelines routed to it (no
+/// cross-shard label traffic exists).
 ///
 /// The store must outlive the index and may only grow (dense 1-based
 /// ids, the feed-order contract). Mutating repairs (DropInvalidEvents,
@@ -66,28 +47,13 @@
 #include "core/segmentation.h"
 #include "metadata/metadata_store.h"
 #include "metadata/trace.h"
-#include "metadata/trace_validator.h"
 #include "metadata/types.h"
 
 namespace mlprov::core {
 
 struct ProvenanceIndexOptions {
-  /// Stop/cut vocabulary for the segmentation-aligned labels (anc_cut,
-  /// tmark). Must match the segmenter's options for indexed extraction
-  /// to be valid.
+  /// Unread; kept because perfbench/ledger.cc constructs the index with it.
   SegmentationOptions segmentation;
-};
-
-/// O(1)-readable issue counters maintained incrementally (the full
-/// ValidationSnapshot report re-derives details from the store). Exact
-/// under the feed-order contract and for whole-store CatchUp; see
-/// ProvenanceIndex::issue_tallies().
-struct IssueTallies {
-  size_t orphan_artifacts = 0;
-  size_t dangling_events = 0;
-  size_t time_inversions = 0;
-  size_t truncated_graphlets = 0;
-  size_t invalid_types = 0;
 };
 
 /// Dense bitset over 1-based node ids, grown lazily. Word layout is
@@ -139,9 +105,6 @@ class ProvenanceIndex {
   /// Label-decoding queries require this (TraceQuery enforces it).
   bool InSync() const;
 
-  /// True while every observed edge goes low id → high id (⇒ DAG).
-  bool edges_monotone() const { return edges_monotone_; }
-
   // ---- label-decode queries (ids are not range-checked here;
   //      TraceQuery wraps them in a StatusOr surface) ----
 
@@ -161,71 +124,23 @@ class ProvenanceIndex {
   bool IsAncestor(metadata::ExecutionId ancestor,
                   metadata::ExecutionId exec) const;
 
-  /// Rule-(a) member set for a graphlet anchored at `exec`: ancestors
-  /// via Trainer-free paths, ascending.
-  std::vector<metadata::ExecutionId> AncestorsCutAtTrainers(
-      metadata::ExecutionId exec) const;
-  /// Rule-(c) member set for `trainer`: descendants up to (and
-  /// excluding) the stop set, ascending. Empty for non-Trainers.
-  std::vector<metadata::ExecutionId> SegmentationDescendants(
-      metadata::ExecutionId trainer) const;
-  /// Whether `type` is in the rule-(c) stop set ({Trainer} ∪
-  /// options.segmentation.descendant_stop).
-  bool IsSegmentationStop(metadata::ExecutionType type) const;
-
-  /// Execution topological order, byte-identical to
-  /// TraceView::TopologicalOrder: the monotone gate makes it exactly
-  /// 1..n (the min-heap Kahn order), otherwise falls back to the BFS.
-  std::vector<metadata::ExecutionId> TopologicalOrder() const;
-
-  /// Validation report byte-identical to TraceValidator::Validate on
-  /// the current store (same issue order, same detail strings, same
-  /// "trace.validation_issues" counter bump) — the validator surface
-  /// for index-holding consumers.
-  metadata::ValidationReport ValidationSnapshot() const;
-  const IssueTallies& issue_tallies() const { return tallies_; }
-
   const metadata::MetadataStore& store() const { return *store_; }
-  const ProvenanceIndexOptions& options() const { return options_; }
   size_t num_indexed_executions() const { return anc_.size(); }
-  size_t num_trainers() const { return trainers_.size(); }
   /// Bytes held by the reachability labels (the index's memory cost).
   size_t label_bytes() const;
 
  private:
-  bool IsTrainer(metadata::ExecutionId id) const {
-    return (exec_flags_[static_cast<size_t>(id) - 1] & kTrainerFlag) != 0;
-  }
-  bool IsStop(metadata::ExecutionId id) const {
-    return (exec_flags_[static_cast<size_t>(id) - 1] & kStopFlag) != 0;
-  }
-  /// Registers edge u→v (idempotent); applies label deltas and runs the
-  /// worklist propagation if v's labels changed.
+  /// Registers edge u→v (idempotent); if v's label changed, propagates
+  /// the change along the out-edges with a worklist.
   void AddEdge(metadata::ExecutionId u, metadata::ExecutionId v);
-  /// Unions u's contributions into v per the fixpoint equations.
-  /// Returns true iff any of v's labels changed.
+  /// Unions u's contribution into v's label; true iff it changed.
   bool ApplyEdge(metadata::ExecutionId u, metadata::ExecutionId v);
   void PropagateFrom(metadata::ExecutionId v);
-  /// Recomputes the degree-dependent tallies (orphans, truncated
-  /// trainers) from the store's adjacency. Used by CatchUp, where
-  /// per-event transitions are not observable.
-  void RecountDegreeTallies();
-
-  static constexpr uint8_t kTrainerFlag = 1;
-  static constexpr uint8_t kStopFlag = 2;
 
   const metadata::MetadataStore* store_;
-  ProvenanceIndexOptions options_;
 
-  // Labels, parallel to store executions (index = id - 1).
+  /// Labels, parallel to store executions (index = id - 1).
   std::vector<IdBitset> anc_;
-  std::vector<IdBitset> anc_cut_;
-  std::vector<IdBitset> tmark_;
-  std::vector<uint8_t> exec_flags_;
-  /// Trainer ordinal per execution (-1 for non-Trainers) and its
-  /// inverse; ordinals are the tmark bit positions.
-  std::vector<int32_t> trainer_ord_;
-  std::vector<metadata::ExecutionId> trainers_;
   /// Deduplicated out-edges (u → consumers of u's outputs).
   std::vector<std::vector<metadata::ExecutionId>> out_;
   /// Worklist scratch for propagation (grown lazily, reset per run).
@@ -235,8 +150,6 @@ class ProvenanceIndex {
   size_t indexed_artifacts_ = 0;
   size_t indexed_executions_ = 0;
   size_t indexed_events_ = 0;
-  bool edges_monotone_ = true;
-  IssueTallies tallies_;
 };
 
 /// Live graphlet-membership source for TraceQuery::GraphletsTouchingSpan.
@@ -295,8 +208,8 @@ class TraceQuery {
 
   /// Descendant executions under `options` (byte-identical to
   /// TraceView::DescendantExecutions with the equivalent stop). Stop-free
-  /// queries and the segmentation stop set decode labels; arbitrary
-  /// predicates run the BFS against the store.
+  /// queries decode labels; any stop type or predicate runs the BFS
+  /// against the store.
   common::StatusOr<std::vector<metadata::ExecutionId>> DescendantsOf(
       metadata::ExecutionId exec,
       const metadata::TraverseOptions& options = {}) const;
@@ -315,9 +228,6 @@ class TraceQuery {
   /// ascending. InvalidArgument when to < from.
   common::StatusOr<std::vector<metadata::ExecutionId>> TimeWindowSlice(
       const TimeWindowOptions& options) const;
-
-  /// Topological order (byte-identical to TraceView::TopologicalOrder).
-  std::vector<metadata::ExecutionId> TopologicalOrder() const;
 
  private:
   common::Status CheckExecution(metadata::ExecutionId exec) const;

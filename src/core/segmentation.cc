@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/datalog.h"
-#include "core/provenance_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -176,51 +175,6 @@ bool GraphletExtractor::AddArtifact(ArtifactId id) {
   return true;
 }
 
-void GraphletExtractor::RunAnalysisClosure(const MetadataStore& store) {
-  // Rule (b): data-analysis/-validation executions over the graphlet's
-  // data spans, chased through their derived artifacts (statistics ->
-  // schema/anomalies).
-  std::vector<ArtifactId> frontier;
-  for (ArtifactId a : touched_artifacts_) {
-    if (store.artifacts()[static_cast<size_t>(a) - 1].type ==
-        ArtifactType::kExamples) {
-      frontier.push_back(a);
-    }
-  }
-  while (!frontier.empty()) {
-    const ArtifactId cur = frontier.back();
-    frontier.pop_back();
-    for (ExecutionId consumer : store.ConsumersOf(cur)) {
-      const ExecutionType type =
-          store.executions()[static_cast<size_t>(consumer) - 1].type;
-      if (!IsDataAnalysisType(type)) continue;
-      if (AddExec(consumer, /*descendant=*/false)) {
-        for (ArtifactId out : store.OutputsOf(consumer)) {
-          if (AddArtifact(out)) frontier.push_back(out);
-        }
-        for (ArtifactId in : store.InputsOf(consumer)) {
-          AddArtifact(in);
-        }
-      }
-    }
-  }
-}
-
-Graphlet GraphletExtractor::FinishExtract(const MetadataStore& store,
-                                          ExecutionId trainer) {
-  Graphlet g =
-      Finalize(store, trainer, exec_in_, artifact_in_, exec_is_descendant_);
-  // Reset scratch flags for the next extraction.
-  for (ExecutionId id : touched_execs_) {
-    exec_in_[static_cast<size_t>(id)] = 0;
-    exec_is_descendant_[static_cast<size_t>(id)] = 0;
-  }
-  for (ArtifactId id : touched_artifacts_) {
-    artifact_in_[static_cast<size_t>(id)] = 0;
-  }
-  return g;
-}
-
 Graphlet GraphletExtractor::Extract(const MetadataStore& store,
                                     ExecutionId trainer) {
   const SegmentationOptions& options = options_;
@@ -284,42 +238,47 @@ Graphlet GraphletExtractor::Extract(const MetadataStore& store,
     }
   }
 
-  RunAnalysisClosure(store);
-  return FinishExtract(store, trainer);
-}
-
-Graphlet GraphletExtractor::ExtractIndexed(const MetadataStore& store,
-                                           ExecutionId trainer,
-                                           const ProvenanceIndex& index) {
-  EnsureScratch(store);
-  AddExec(trainer, /*descendant=*/false);
-
-  // Rule (a) from the index: the Trainer-cut ancestor label. Member
-  // artifacts follow the BFS contract — inputs of every rule-(a) node
-  // (trainer included), outputs of the non-anchor members.
-  const std::vector<ExecutionId> ancestors =
-      index.AncestorsCutAtTrainers(trainer);
-  for (ExecutionId u : ancestors) AddExec(u, /*descendant=*/false);
-  for (ArtifactId a : store.InputsOf(trainer)) AddArtifact(a);
-  for (ExecutionId u : ancestors) {
-    for (ArtifactId a : store.InputsOf(u)) AddArtifact(a);
-    for (ArtifactId a : store.OutputsOf(u)) AddArtifact(a);
+  // Rule (b): data-analysis/-validation executions over the graphlet's
+  // data spans, chased through their derived artifacts (statistics ->
+  // schema/anomalies).
+  {
+    std::vector<ArtifactId> frontier;
+    for (ArtifactId a : touched_artifacts_) {
+      if (store.artifacts()[static_cast<size_t>(a) - 1].type ==
+          ArtifactType::kExamples) {
+        frontier.push_back(a);
+      }
+    }
+    while (!frontier.empty()) {
+      const ArtifactId cur = frontier.back();
+      frontier.pop_back();
+      for (ExecutionId consumer : store.ConsumersOf(cur)) {
+        const ExecutionType type =
+            store.executions()[static_cast<size_t>(consumer) - 1].type;
+        if (!IsDataAnalysisType(type)) continue;
+        if (AddExec(consumer, /*descendant=*/false)) {
+          for (ArtifactId out : store.OutputsOf(consumer)) {
+            if (AddArtifact(out)) frontier.push_back(out);
+          }
+          for (ArtifactId in : store.InputsOf(consumer)) {
+            AddArtifact(in);
+          }
+        }
+      }
+    }
   }
 
-  // Rule (c) from the index: the trainer's tmark column. Artifacts:
-  // outputs of every rule-(c) node (trainer included), other inputs of
-  // the descendant members.
-  const std::vector<ExecutionId> descendants =
-      index.SegmentationDescendants(trainer);
-  for (ExecutionId d : descendants) AddExec(d, /*descendant=*/true);
-  for (ArtifactId a : store.OutputsOf(trainer)) AddArtifact(a);
-  for (ExecutionId d : descendants) {
-    for (ArtifactId a : store.OutputsOf(d)) AddArtifact(a);
-    for (ArtifactId a : store.InputsOf(d)) AddArtifact(a);
+  Graphlet g =
+      Finalize(store, trainer, exec_in_, artifact_in_, exec_is_descendant_);
+  // Reset scratch flags for the next extraction.
+  for (ExecutionId id : touched_execs_) {
+    exec_in_[static_cast<size_t>(id)] = 0;
+    exec_is_descendant_[static_cast<size_t>(id)] = 0;
   }
-
-  RunAnalysisClosure(store);
-  return FinishExtract(store, trainer);
+  for (ArtifactId id : touched_artifacts_) {
+    artifact_in_[static_cast<size_t>(id)] = 0;
+  }
+  return g;
 }
 
 std::vector<Graphlet> SegmentTrace(const MetadataStore& store,

@@ -16,8 +16,6 @@
 
 namespace mlprov::core {
 
-class ProvenanceIndex;  // provenance_index.h; avoids a header cycle
-
 /// Options for graphlet segmentation (Section 4.1 / Appendix A).
 struct SegmentationOptions {
   /// Descendant traversal stops at (and excludes) these execution types —
@@ -32,9 +30,9 @@ struct SegmentationOptions {
 };
 
 /// Reusable single-trainer graphlet extractor: the BFS kernel behind
-/// SegmentTrace, exposed so incremental consumers (the streaming
-/// segmenter) can re-extract one trainer's graphlet against a *growing*
-/// store. Owns its scratch bitmaps; they are grown lazily, so the same
+/// SegmentTrace and the streaming segmenter's only extraction path,
+/// which re-extracts one trainer's graphlet against a *growing* store.
+/// Owns its scratch bitmaps; they are grown lazily, so the same
 /// extractor instance stays valid as the store gains nodes. Extraction
 /// always reflects the store's current contents — calling Extract twice
 /// for the same trainer after the store grew returns the grown graphlet.
@@ -48,29 +46,10 @@ class GraphletExtractor {
   Graphlet Extract(const metadata::MetadataStore& store,
                    metadata::ExecutionId trainer);
 
-  /// Extraction seeded from an incremental ProvenanceIndex instead of
-  /// the rule-(a)/(c) BFS walks: the ancestor and descendant member
-  /// sets decode from the index's labels, then the shared rule-(b)
-  /// closure and finalization run as usual. Byte-identical to Extract
-  /// whenever `index.edges_monotone()` holds (guaranteed for any
-  /// feed-ordered trace); callers must check the gate and fall back to
-  /// Extract otherwise — labels over a corrupt cyclic store can reach
-  /// through nodes the BFS refuses to expand. The index must be in sync
-  /// with the store and share its segmentation options.
-  Graphlet ExtractIndexed(const metadata::MetadataStore& store,
-                          metadata::ExecutionId trainer,
-                          const ProvenanceIndex& index);
-
  private:
   void EnsureScratch(const metadata::MetadataStore& store);
   bool AddExec(metadata::ExecutionId id, bool descendant);
   bool AddArtifact(metadata::ArtifactId id);
-  /// Rule (b): the data-analysis closure over the member Examples spans,
-  /// shared verbatim by both extraction paths.
-  void RunAnalysisClosure(const metadata::MetadataStore& store);
-  /// Finalizes the Graphlet record from the scratch sets and resets them.
-  Graphlet FinishExtract(const metadata::MetadataStore& store,
-                         metadata::ExecutionId trainer);
 
   SegmentationOptions options_;
   // Scratch bitmaps indexed by node id; reset after every extraction via

@@ -73,14 +73,17 @@ std::vector<ExecutionId> TraceView::DescendantExecutions(
 std::vector<ExecutionId> TraceView::TopologicalOrder() const {
   const size_t n = store_->num_executions();
   // In-degree counted in execution-to-execution terms: an execution depends
-  // on the producers of its inputs.
+  // once on each distinct producer of its inputs. `counted` and `relaxed`
+  // stamp a node with the id of the execution that last saw it, so each
+  // array serves every execution without being cleared.
   std::vector<size_t> indegree(n + 1, 0);
+  std::vector<ExecutionId> counted(n + 1, kInvalidId);
   for (size_t id = 1; id <= n; ++id) {
-    std::vector<char> counted(n + 1, 0);
-    for (ArtifactId input : store_->InputsOf(static_cast<ExecutionId>(id))) {
+    const auto exec = static_cast<ExecutionId>(id);
+    for (ArtifactId input : store_->InputsOf(exec)) {
       for (ExecutionId producer : store_->ProducersOf(input)) {
-        if (!counted[static_cast<size_t>(producer)]) {
-          counted[static_cast<size_t>(producer)] = 1;
+        if (counted[static_cast<size_t>(producer)] != exec) {
+          counted[static_cast<size_t>(producer)] = exec;
           ++indegree[id];
         }
       }
@@ -94,15 +97,15 @@ std::vector<ExecutionId> TraceView::TopologicalOrder() const {
   }
   std::vector<ExecutionId> order;
   order.reserve(n);
+  std::vector<ExecutionId> relaxed(n + 1, kInvalidId);
   while (!ready.empty()) {
     const ExecutionId cur = ready.top();
     ready.pop();
     order.push_back(cur);
-    std::vector<char> relaxed(n + 1, 0);
     for (ArtifactId output : store_->OutputsOf(cur)) {
       for (ExecutionId consumer : store_->ConsumersOf(output)) {
-        if (relaxed[static_cast<size_t>(consumer)]) continue;
-        relaxed[static_cast<size_t>(consumer)] = 1;
+        if (relaxed[static_cast<size_t>(consumer)] == cur) continue;
+        relaxed[static_cast<size_t>(consumer)] = cur;
         if (--indegree[static_cast<size_t>(consumer)] == 0) {
           ready.push(consumer);
         }

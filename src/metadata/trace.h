@@ -57,19 +57,11 @@ class TraceView {
   std::vector<ExecutionId> DescendantExecutions(
       ExecutionId exec, const TraverseOptions& options = {}) const;
 
-  /// Deprecated: pre-TraverseOptions signature, kept for one release.
-  /// Forwards the bare predicate into TraverseOptions::stop.
-  [[deprecated("use the TraverseOptions overload")]]
-  std::vector<ExecutionId> DescendantExecutions(
-      ExecutionId exec,
-      const std::function<bool(const Execution&)>& stop) const {
-    TraverseOptions options;
-    options.stop = stop;
-    return DescendantExecutions(exec, options);
-  }
-
-  /// Executions in topological (dependency) order. For the DAG traces this
-  /// library produces, ties are broken by id, which coincides with time.
+  /// Executions in topological (dependency) order, ties broken by the
+  /// smallest id (which coincides with time for the DAG traces this
+  /// library produces). Shorter than num_executions() iff the trace has
+  /// a cycle: executions on or downstream of it are left out.
+  /// O((V + E) log V).
   std::vector<ExecutionId> TopologicalOrder() const;
 
   /// Number of weakly connected components over all nodes.

@@ -394,8 +394,7 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
   counts_.artifacts = static_cast<size_t>(artifacts);
   counts_.events = static_cast<size_t>(events);
   // The index is not persisted — its labels rebuild deterministically
-  // from the restored store, and they must be current before the
-  // restored segmenter extracts anything through them.
+  // from the restored store, so queries work as soon as Open returns.
   if (options_.enable_index) index_.CatchUp();
   std::string_view segmenter_blob;
   if (!ReadBlobView(in, &segmenter_blob)) return Corrupt("segmenter blob");

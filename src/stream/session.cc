@@ -62,10 +62,8 @@ ProvenanceSession::ProvenanceSession(const SessionOptions& options)
     : options_(options),
       flight_(options.name.empty() ? std::string("session") : options.name,
               obs::FlightRecorder::Options{options.flight_capacity}),
-      index_(&store_,
-             core::ProvenanceIndexOptions{options.segmenter.segmentation}),
+      index_(&store_),
       segmenter_(&store_, options.segmenter) {
-  if (options_.enable_index) segmenter_.AttachIndex(&index_);
   if (options_.scorer != nullptr) {
     featurizer_.emplace(&store_, &span_stats_,
                         options_.scorer->feature_options());

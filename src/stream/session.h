@@ -65,11 +65,10 @@ struct SessionOptions {
   /// scoring phase, the causality tests).
   bool emit_flows = false;
   /// Maintain an incremental core::ProvenanceIndex over the replicated
-  /// store (fed record by record, in lockstep with the segmenter). The
-  /// segmenter then extracts graphlets by decoding the index's labels
-  /// instead of BFS walks, and Query() serves interactive closure
-  /// queries without recomputation. Disable to trade query capability
-  /// for the labels' memory (~(2n + t)/8 bytes per execution).
+  /// store (fed record by record, in lockstep with the segmenter), so
+  /// Query() serves interactive closure queries without recomputation.
+  /// Segmentation does not read it. Disable to trade query capability
+  /// for the labels' memory (~n/8 bytes per execution).
   bool enable_index = true;
 };
 
@@ -254,7 +253,7 @@ class ProvenanceSession : public sim::ProvenanceSink {
   metadata::MetadataStore store_;
   std::unordered_map<metadata::ArtifactId, dataspan::SpanStats> span_stats_;
   core::ProvenanceIndex index_;   // observes store_; declared after it
-  StreamingSegmenter segmenter_;  // observes store_ (and index_)
+  StreamingSegmenter segmenter_;  // observes store_
   metadata::ContextId context_ = metadata::kInvalidId;
   bool finished_ = false;
   bool recovered_ = false;

@@ -104,14 +104,7 @@ void StreamingSegmenter::MarkArtifactIncident(ArtifactId id) {
 
 void StreamingSegmenter::ExtractCell(size_t cell_index) {
   Cell& cell = cells_[cell_index];
-  // Index-backed extraction when the attached index is usable; the
-  // monotone gate guards byte-identity on corrupt cyclic stores, and
-  // InSync guards restore windows where the index trails the store.
-  const bool use_index =
-      index_ != nullptr && index_->InSync() && index_->edges_monotone();
-  core::Graphlet grown =
-      use_index ? extractor_.ExtractIndexed(*store_, cell.trainer, *index_)
-                : extractor_.Extract(*store_, cell.trainer);
+  core::Graphlet grown = extractor_.Extract(*store_, cell.trainer);
   ++stats_.extractions;
   MLPROV_COUNTER_INC("stream.extractions");
   // Graphlets are monotone as the store grows, so indexing only the

@@ -81,15 +81,8 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
   void OnArtifact(const metadata::Artifact& artifact);
   void OnEvent(const metadata::Event& event);
 
-  /// Attaches an incremental ProvenanceIndex over the same store (and
-  /// with the same segmentation options). Extractions then decode the
-  /// index's labels instead of re-running the rule-(a)/(c) BFS walks —
-  /// O(members) per extraction — falling back to the BFS automatically
-  /// whenever the index is out of sync or its monotone-edge gate is off
-  /// (byte-identity is preserved either way). The index must be fed in
-  /// lockstep with this segmenter and must outlive it; pass nullptr to
-  /// detach.
-  void AttachIndex(const core::ProvenanceIndex* index) { index_ = index; }
+  /// No-op: extraction always runs the BFS. Kept for perfbench/ledger.cc.
+  void AttachIndex(const core::ProvenanceIndex* /*index*/) {}
 
   /// GraphletMembershipProvider: trainer anchors of the cells whose
   /// last-extracted graphlet contains `artifact`, ascending and
@@ -177,7 +170,6 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
 
   const metadata::MetadataStore* store_;
   StreamingSegmenterOptions options_;
-  const core::ProvenanceIndex* index_ = nullptr;
   metadata::Timestamp grace_seconds_ = 0;
   bool trainer_is_descendant_stop_ = true;
   core::GraphletExtractor extractor_;

@@ -1,9 +1,9 @@
 /// Property tests for the incremental provenance index and the
 /// TraceQuery engine: every label-decoded query must be byte-identical
-/// to the corresponding TraceView recompute (and the indexed graphlet
-/// extraction to the BFS / Datalog reference) — on clean stores, random
-/// DAGs, non-monotone feeds, cycles, and corrupt stores, after both
-/// incremental feeding and batch CatchUp, at every feed prefix.
+/// to the corresponding TraceView recompute — on clean stores, random
+/// DAGs, non-monotone feeds and cycles, after both incremental feeding
+/// and batch CatchUp, at every feed prefix. The random DAGs also hold
+/// the BFS segmentation to its Datalog reference.
 
 #include "core/provenance_index.h"
 
@@ -17,7 +17,6 @@
 #include "core/segmentation.h"
 #include "metadata/metadata_store.h"
 #include "metadata/trace.h"
-#include "metadata/trace_validator.h"
 
 namespace mlprov::core {
 namespace {
@@ -37,8 +36,7 @@ struct IndexedStore {
   MetadataStore store;
   ProvenanceIndex index;
 
-  explicit IndexedStore(const ProvenanceIndexOptions& options = {})
-      : index(&store, options) {}
+  IndexedStore() : index(&store) {}
 
   ExecutionId AddExec(ExecutionType type, metadata::Timestamp start,
                       metadata::Timestamp end) {
@@ -109,47 +107,12 @@ void ExpectIndexMatchesTraceView(const MetadataStore& store,
     EXPECT_EQ(index.Descendants(exec), view.DescendantExecutions(exec))
         << "exec " << exec;
   }
-  EXPECT_EQ(index.TopologicalOrder(), view.TopologicalOrder());
-}
-
-/// Asserts two validation reports are byte-identical (same issues in
-/// the same order with the same detail strings, same counters).
-void ExpectReportsEqual(const metadata::ValidationReport& got,
-                        const metadata::ValidationReport& want) {
-  ASSERT_EQ(got.issues.size(), want.issues.size());
-  for (size_t i = 0; i < want.issues.size(); ++i) {
-    EXPECT_EQ(got.issues[i].kind, want.issues[i].kind) << "issue " << i;
-    EXPECT_EQ(got.issues[i].id, want.issues[i].id) << "issue " << i;
-    EXPECT_EQ(got.issues[i].detail, want.issues[i].detail) << "issue " << i;
-  }
-  EXPECT_EQ(got.orphan_artifacts, want.orphan_artifacts);
-  EXPECT_EQ(got.dangling_events, want.dangling_events);
-  EXPECT_EQ(got.time_inversions, want.time_inversions);
-  EXPECT_EQ(got.truncated_graphlets, want.truncated_graphlets);
-  EXPECT_EQ(got.invalid_types, want.invalid_types);
-  EXPECT_EQ(got.Summary(), want.Summary());
-}
-
-/// Asserts the O(1) tallies equal the full validator's counters.
-void ExpectTalliesMatchValidator(const MetadataStore& store,
-                                 const ProvenanceIndex& index) {
-  const metadata::ValidationReport report =
-      metadata::TraceValidator().Validate(store);
-  const IssueTallies& tallies = index.issue_tallies();
-  EXPECT_EQ(tallies.orphan_artifacts, report.orphan_artifacts);
-  EXPECT_EQ(tallies.dangling_events, report.dangling_events);
-  EXPECT_EQ(tallies.time_inversions, report.time_inversions);
-  EXPECT_EQ(tallies.truncated_graphlets, report.truncated_graphlets);
-  EXPECT_EQ(tallies.invalid_types, report.invalid_types);
 }
 
 TEST(ProvenanceIndexTest, IncrementalFeedMatchesTraceView) {
   IndexedStore s;
   BuildSampleTrace(s);
-  EXPECT_TRUE(s.index.edges_monotone());
   ExpectIndexMatchesTraceView(s.store, s.index);
-  ExpectTalliesMatchValidator(s.store, s.index);
-  EXPECT_EQ(s.index.num_trainers(), 2u);
   EXPECT_GT(s.index.label_bytes(), 0u);
 }
 
@@ -157,7 +120,7 @@ TEST(ProvenanceIndexTest, CatchUpOnFinishedStoreMatchesIncrementalFeed) {
   IndexedStore s;
   BuildSampleTrace(s);
   // A fresh index catching up on the finished store must agree with the
-  // incrementally fed one on every query and tally.
+  // incrementally fed one on every query.
   ProvenanceIndex batch(&s.store);
   EXPECT_FALSE(batch.InSync());
   batch.CatchUp();
@@ -166,15 +129,9 @@ TEST(ProvenanceIndexTest, CatchUpOnFinishedStoreMatchesIncrementalFeed) {
   for (ExecutionId exec = 1; exec <= n; ++exec) {
     EXPECT_EQ(batch.Ancestors(exec), s.index.Ancestors(exec));
     EXPECT_EQ(batch.Descendants(exec), s.index.Descendants(exec));
-    EXPECT_EQ(batch.AncestorsCutAtTrainers(exec),
-              s.index.AncestorsCutAtTrainers(exec));
-    EXPECT_EQ(batch.SegmentationDescendants(exec),
-              s.index.SegmentationDescendants(exec));
   }
-  ExpectTalliesMatchValidator(s.store, batch);
   // CatchUp is idempotent.
   batch.CatchUp();
-  ExpectTalliesMatchValidator(s.store, batch);
   ExpectIndexMatchesTraceView(s.store, batch);
 }
 
@@ -193,10 +150,7 @@ TEST(ProvenanceIndexTest, EveryPrefixOfTheFeedStaysConsistent) {
     const auto n = static_cast<ExecutionId>(s.store.num_executions());
     for (ExecutionId exec = 1; exec <= n; ++exec) {
       EXPECT_EQ(fresh.Ancestors(exec), s.index.Ancestors(exec));
-      EXPECT_EQ(fresh.SegmentationDescendants(exec),
-                s.index.SegmentationDescendants(exec));
     }
-    ExpectTalliesMatchValidator(s.store, s.index);
     ++checked_prefixes;
   };
   const ExecutionId gen1 = s.AddExec(ExecutionType::kExampleGen, 0, 10);
@@ -210,12 +164,12 @@ TEST(ProvenanceIndexTest, EveryPrefixOfTheFeedStaysConsistent) {
   s.Link(gen2, span2, EventKind::kOutput, 30);
   check();
   const ExecutionId trainer1 = s.AddExec(ExecutionType::kTrainer, 60, 70);
-  check();  // trainer with no inputs yet: truncated tally must show it
+  check();
   s.Link(trainer1, span1, EventKind::kInput, 60);
-  check();  // first input heals the truncation
+  check();
   s.Link(trainer1, span2, EventKind::kInput, 60);
   const ArtifactId model1 = s.AddArtifact(ArtifactType::kModel, 70);
-  check();  // orphan until its output event lands
+  check();
   s.Link(trainer1, model1, EventKind::kOutput, 70);
   check();
   const ExecutionId pusher = s.AddExec(ExecutionType::kPusher, 100, 110);
@@ -260,28 +214,9 @@ TEST(ProvenanceIndexTest, RandomDagsMatchTraceViewAndSegmentation) {
       execs.push_back(e);
       outputs_of.push_back(a);
     }
-    EXPECT_TRUE(s.index.edges_monotone());
     ExpectIndexMatchesTraceView(s.store, s.index);
-    ExpectTalliesMatchValidator(s.store, s.index);
-    ExpectReportsEqual(s.index.ValidationSnapshot(),
-                       metadata::TraceValidator().Validate(s.store));
 
-    // Indexed extraction must be byte-identical to the BFS extractor,
-    // and (on the whole trace) to the Datalog reference.
-    GraphletExtractor bfs;
-    GraphletExtractor indexed;
-    for (ExecutionId e : execs) {
-      if (s.store.executions()[static_cast<size_t>(e) - 1].type !=
-          ExecutionType::kTrainer) {
-        continue;
-      }
-      const Graphlet a = bfs.Extract(s.store, e);
-      const Graphlet b = indexed.ExtractIndexed(s.store, e, s.index);
-      EXPECT_EQ(a.executions, b.executions) << "trainer " << e;
-      EXPECT_EQ(a.artifacts, b.artifacts) << "trainer " << e;
-      EXPECT_EQ(a.input_spans, b.input_spans) << "trainer " << e;
-      EXPECT_EQ(a.pushed, b.pushed) << "trainer " << e;
-    }
+    // BFS segmentation must equal the Datalog reference.
     const std::vector<Graphlet> fast = SegmentTrace(s.store);
     const std::vector<Graphlet> datalog = SegmentTraceDatalog(s.store);
     ASSERT_EQ(fast.size(), datalog.size());
@@ -289,20 +224,14 @@ TEST(ProvenanceIndexTest, RandomDagsMatchTraceViewAndSegmentation) {
       EXPECT_EQ(fast[i].trainer, datalog[i].trainer);
       EXPECT_EQ(fast[i].executions, datalog[i].executions);
       EXPECT_EQ(fast[i].artifacts, datalog[i].artifacts);
-      // And the indexed extraction agrees with the Datalog cross-check.
-      GraphletExtractor ext;
-      const Graphlet viaindex =
-          ext.ExtractIndexed(s.store, fast[i].trainer, s.index);
-      EXPECT_EQ(viaindex.executions, datalog[i].executions);
-      EXPECT_EQ(viaindex.artifacts, datalog[i].artifacts);
     }
   }
 }
 
-TEST(ProvenanceIndexTest, NonMonotoneEdgesDropTheGateButStayCorrect) {
+TEST(ProvenanceIndexTest, NonMonotoneEdgesStayCorrect) {
   // Exec 2 consumes an artifact produced later by exec 3: a perfectly
-  // valid store whose edge 3->2 runs backwards in id space. The gate
-  // must trip, and closure queries must still match TraceView.
+  // valid store whose edge 3->2 runs backwards in id space. Closure
+  // queries must still match TraceView.
   IndexedStore s;
   const ExecutionId gen = s.AddExec(ExecutionType::kExampleGen, 0, 10);
   const ExecutionId late = s.AddExec(ExecutionType::kTransform, 40, 50);
@@ -313,11 +242,7 @@ TEST(ProvenanceIndexTest, NonMonotoneEdgesDropTheGateButStayCorrect) {
   s.Link(mid, stats, EventKind::kOutput, 30);
   s.Link(mid, span, EventKind::kInput, 20);
   s.Link(late, stats, EventKind::kInput, 40);  // edge 3 -> 2: backwards
-  EXPECT_FALSE(s.index.edges_monotone());
   ExpectIndexMatchesTraceView(s.store, s.index);
-  // The topological order fell back to the BFS (1..n would be wrong).
-  EXPECT_EQ(s.index.TopologicalOrder(),
-            TraceView(&s.store).TopologicalOrder());
 }
 
 TEST(ProvenanceIndexTest, CyclicStoreAncestorsStillMatchTraceView) {
@@ -333,47 +258,37 @@ TEST(ProvenanceIndexTest, CyclicStoreAncestorsStillMatchTraceView) {
   s.Link(e2, a1, EventKind::kInput, 20);
   s.Link(e2, a2, EventKind::kOutput, 30);
   s.Link(e1, a2, EventKind::kInput, 0);  // closes the cycle
-  EXPECT_FALSE(s.index.edges_monotone());
   TraceView view(&s.store);
   EXPECT_EQ(s.index.Ancestors(e1), view.AncestorExecutions(e1));
   EXPECT_EQ(s.index.Ancestors(e2), view.AncestorExecutions(e2));
   EXPECT_EQ(s.index.Descendants(e1), view.DescendantExecutions(e1));
   EXPECT_EQ(s.index.AncestorArtifacts(e1), view.AncestorArtifacts(e1));
-  EXPECT_EQ(s.index.TopologicalOrder(), view.TopologicalOrder());
   EXPECT_FALSE(s.index.IsAncestor(e1, e1));
   EXPECT_TRUE(s.index.IsAncestor(e2, e1));
   EXPECT_TRUE(s.index.IsAncestor(e1, e2));
 }
 
-TEST(ProvenanceIndexTest, ValidationSnapshotMatchesValidatorOnCorruptStore) {
-  MetadataStore store;
-  metadata::Execution trainer;
-  trainer.type = ExecutionType::kTrainer;
-  trainer.start_time = 100;
-  trainer.end_time = 50;  // inverted
-  store.PutExecution(trainer);
-  metadata::Execution weird;
-  weird.type = static_cast<ExecutionType>(250);  // out of vocabulary
-  store.PutExecution(weird);
-  metadata::Artifact orphan;
-  orphan.type = static_cast<ArtifactType>(199);  // out of vocabulary
-  store.PutArtifact(orphan);
-  // Dangling references and a hostile kind, inserted leniently.
-  store.PutEventUnchecked({7, 1, EventKind::kInput, 0});
-  store.PutEventUnchecked({1, 9, EventKind::kOutput, 0});
-  store.PutEventUnchecked({1, 1, static_cast<EventKind>(9), 0});
-  // An output stamped before its producer started.
-  store.PutEventUnchecked({1, 1, EventKind::kOutput, 5});
-
-  ProvenanceIndex index(&store);
-  index.CatchUp();
-  ASSERT_TRUE(index.InSync());
-  ExpectReportsEqual(index.ValidationSnapshot(),
-                     metadata::TraceValidator().Validate(store));
-  ExpectTalliesMatchValidator(store, index);
-  const metadata::ValidationReport report = index.ValidationSnapshot();
-  EXPECT_TRUE(report.NeedsQuarantine());
-  EXPECT_GE(report.dangling_events, 3u);
+TEST(ProvenanceIndexTest, CorruptStoreMatchesTraceView) {
+  // Events with dangling ids never enter the store's adjacency, and a
+  // kind outside the enum enters it as an output edge; fed live or
+  // caught up in one call, the index must mirror exactly that.
+  IndexedStore s;
+  const ExecutionId gen = s.AddExec(ExecutionType::kExampleGen, 0, 10);
+  const ExecutionId trainer = s.AddExec(ExecutionType::kTrainer, 100, 50);
+  const ArtifactId span = s.AddArtifact(ArtifactType::kExamples, 10);
+  for (const metadata::Event& event :
+       {metadata::Event{7, span, EventKind::kInput, 0},
+        metadata::Event{gen, 9, EventKind::kOutput, 0},
+        metadata::Event{gen, span, static_cast<EventKind>(9), 5},
+        metadata::Event{trainer, span, EventKind::kInput, 100}}) {
+    s.store.PutEventUnchecked(event);
+    s.index.OnEvent(s.store.events().back());
+  }
+  ExpectIndexMatchesTraceView(s.store, s.index);
+  EXPECT_EQ(s.index.Ancestors(trainer), std::vector<ExecutionId>{gen});
+  ProvenanceIndex batch(&s.store);
+  batch.CatchUp();
+  ExpectIndexMatchesTraceView(s.store, batch);
 }
 
 // ---------------------------------------------------------------------
@@ -396,7 +311,6 @@ TEST(TraceQueryTest, AncestorsAndDescendantsMatchTraceView) {
     ASSERT_TRUE(desc.ok()) << desc.status();
     EXPECT_EQ(*desc, view.DescendantExecutions(exec));
   }
-  EXPECT_EQ(query.TopologicalOrder(), view.TopologicalOrder());
 }
 
 TEST(TraceQueryTest, DescendantsHonorStopOptionsOnEveryPath) {
@@ -404,8 +318,8 @@ TEST(TraceQueryTest, DescendantsHonorStopOptionsOnEveryPath) {
   BuildSampleTrace(s);
   TraceQuery query(&s.store, &s.index);
   TraceView view(&s.store);
-  // The segmentation stop vocabulary decodes labels for trainer starts;
-  // everything else falls back to the BFS. Both must equal TraceView.
+  // Stop-free queries decode labels; any stop type or predicate walks
+  // the BFS. Every path must equal TraceView.
   TraverseOptions seg_stops;
   seg_stops.stop_types = {ExecutionType::kTransform, ExecutionType::kTrainer};
   TraverseOptions other_stops;

@@ -1,5 +1,7 @@
 #include "metadata/trace.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "metadata/metadata_store.h"
@@ -136,6 +138,42 @@ TEST(TraceViewTest, TopologicalOrderRespectsDependencies) {
   EXPECT_LT(pos(t.gen2), pos(t.trainer1));
   EXPECT_LT(pos(t.gen2), pos(t.trainer2));
   EXPECT_LT(pos(t.trainer1), pos(t.pusher));
+}
+
+TEST(TraceViewTest, TopologicalOrderFollowsBackwardEdges) {
+  // Exec 2 consumes what exec 3 produces: an edge against id order, so
+  // the order is not 1..n.
+  MetadataStore store;
+  auto add_exec = [&](ExecutionType type) {
+    Execution e;
+    e.type = type;
+    return store.PutExecution(e);
+  };
+  const ExecutionId gen = add_exec(ExecutionType::kExampleGen);
+  const ExecutionId late = add_exec(ExecutionType::kTransform);
+  const ExecutionId mid = add_exec(ExecutionType::kStatisticsGen);
+  const ArtifactId span = store.PutArtifact({});
+  const ArtifactId stats = store.PutArtifact({});
+  ASSERT_TRUE(store.PutEvent({gen, span, EventKind::kOutput, 0}).ok());
+  ASSERT_TRUE(store.PutEvent({mid, stats, EventKind::kOutput, 0}).ok());
+  ASSERT_TRUE(store.PutEvent({mid, span, EventKind::kInput, 0}).ok());
+  ASSERT_TRUE(store.PutEvent({late, stats, EventKind::kInput, 0}).ok());
+  EXPECT_EQ(TraceView(&store).TopologicalOrder(),
+            (std::vector<ExecutionId>{1, 3, 2}));
+}
+
+TEST(TraceViewTest, TopologicalOrderOfCycleIsEmpty) {
+  // e1 -> a1 -> e2 -> a2 -> e1: neither execution is ever ready.
+  MetadataStore store;
+  const ExecutionId e1 = store.PutExecution({});
+  const ExecutionId e2 = store.PutExecution({});
+  const ArtifactId a1 = store.PutArtifact({});
+  const ArtifactId a2 = store.PutArtifact({});
+  ASSERT_TRUE(store.PutEvent({e1, a1, EventKind::kOutput, 0}).ok());
+  ASSERT_TRUE(store.PutEvent({e2, a1, EventKind::kInput, 0}).ok());
+  ASSERT_TRUE(store.PutEvent({e2, a2, EventKind::kOutput, 0}).ok());
+  ASSERT_TRUE(store.PutEvent({e1, a2, EventKind::kInput, 0}).ok());
+  EXPECT_TRUE(TraceView(&store).TopologicalOrder().empty());
 }
 
 TEST(TraceViewTest, ConnectedComponents) {

@@ -1,6 +1,10 @@
 // TraceValidator (ISSUE 3): every corruption kind in the taxonomy is
 // detected, repair mode fixes exactly what is mechanically fixable, and
 // clean simulator traces validate clean.
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "metadata/metadata_store.h"
@@ -106,6 +110,47 @@ TEST(TraceValidatorTest, DetectsInvalidTypeEnums) {
   const ValidationReport report = TraceValidator().Validate(store);
   EXPECT_EQ(report.invalid_types, 2u);
   EXPECT_TRUE(report.NeedsQuarantine());
+}
+
+TEST(TraceValidatorTest, CorruptStoreTalliesExactly) {
+  // Every TraceIssueKind but orphans at once, including an event kind
+  // outside the enum, which the store indexes as an output edge (so the
+  // artifact is not an orphan) while the validator counts it dangling.
+  MetadataStore store;
+  AddExecution(store, ExecutionType::kTrainer, /*start=*/100,
+               /*end=*/50);  // inverted, and no input events
+  AddExecution(store, static_cast<ExecutionType>(250));
+  AddArtifact(store, static_cast<ArtifactType>(199));
+  store.PutEventUnchecked({7, 1, EventKind::kInput, 0});
+  store.PutEventUnchecked({1, 9, EventKind::kOutput, 0});
+  store.PutEventUnchecked({1, 1, static_cast<EventKind>(9), 0});
+  store.PutEventUnchecked({1, 1, EventKind::kOutput, 5});  // before start
+
+  const ValidationReport report = TraceValidator().Validate(store);
+  EXPECT_EQ(report.orphan_artifacts, 0u);
+  EXPECT_EQ(report.dangling_events, 3u);
+  EXPECT_EQ(report.time_inversions, 2u);
+  EXPECT_EQ(report.truncated_graphlets, 1u);
+  EXPECT_EQ(report.invalid_types, 2u);
+  EXPECT_TRUE(report.NeedsQuarantine());
+  // Artifacts, then executions, then events (ids are event indexes).
+  const std::vector<std::pair<TraceIssueKind, int64_t>> want = {
+      {TraceIssueKind::kInvalidType, 1},
+      {TraceIssueKind::kTimeInversion, 1},
+      {TraceIssueKind::kTruncatedGraphlet, 1},
+      {TraceIssueKind::kInvalidType, 2},
+      {TraceIssueKind::kDanglingEvent, 0},
+      {TraceIssueKind::kDanglingEvent, 1},
+      {TraceIssueKind::kDanglingEvent, 2},
+      {TraceIssueKind::kTimeInversion, 3}};
+  ASSERT_EQ(report.issues.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(report.issues[i].kind, want[i].first) << "issue " << i;
+    EXPECT_EQ(report.issues[i].id, want[i].second) << "issue " << i;
+  }
+  EXPECT_EQ(report.Summary(),
+            "3 dangling event(s), 2 time inversion(s), "
+            "1 truncated graphlet(s), 2 invalid type(s)");
 }
 
 TEST(TraceValidatorTest, RepairDropsDanglingEvents) {
