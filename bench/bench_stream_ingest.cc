@@ -467,7 +467,7 @@ int Run(int argc, char** argv) {
     int64_t crash_budget = ctx.options.crash_after_records;
     size_t durable_records = 0;
     double durable_seconds = 0.0;
-    uint64_t replayed = 0, recovered_sessions = 0;
+    uint64_t replayed = 0, recovered_sessions = 0, checkpoint_records = 0;
     for (const sim::PipelineTrace& trace : ctx.corpus.pipelines) {
       RecordingSink feed;
       sim::ProvenanceFeeder feeder(&feed);
@@ -490,6 +490,7 @@ int Run(int argc, char** argv) {
       }
       replayed += opened->recovery().replayed_records;
       recovered_sessions += opened->recovery().recovered ? 1 : 0;
+      checkpoint_records += opened->recovery().checkpoint_records;
       const auto t0 = Clock::now();
       for (uint64_t i = opened->records(); i < feed.records.size(); ++i) {
         if (crash_budget > 0 && --crash_budget == 0) {
@@ -529,8 +530,10 @@ int Run(int argc, char** argv) {
         durable_records, durable_seconds, durable_rate,
         events_per_sec > 0.0 ? durable_rate / events_per_sec : 0.0);
     std::printf(
-        "recovery: %llu sessions recovered, %llu records replayed\n",
+        "recovery: %llu sessions recovered, %llu records restored from "
+        "checkpoints, %llu WAL records replayed\n",
         static_cast<unsigned long long>(recovered_sessions),
+        static_cast<unsigned long long>(checkpoint_records),
         static_cast<unsigned long long>(replayed));
     std::printf("durable == batch segmentation: %s\n\n",
                 durable_identical ? "IDENTICAL" : "MISMATCH — BUG");
@@ -549,6 +552,8 @@ int Run(int argc, char** argv) {
                    static_cast<int64_t>(recovered_sessions));
     ctx.report.Set("recovery.replayed_records",
                    static_cast<int64_t>(replayed));
+    ctx.report.Set("recovery.checkpoint_records",
+                   static_cast<int64_t>(checkpoint_records));
   }
   // ---- Phase 6: sharded multi-session service, opt-in (--shards=N). ----
   // Sweeps shard counts (powers of two up to N, plus N) through

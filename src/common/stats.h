@@ -22,22 +22,6 @@ class RunningStats {
   double sum() const { return count_ ? mean_ * count_ : 0.0; }
   double min() const { return min_; }
   double max() const { return max_; }
-  /// Raw sum of squared deviations (Welford's M2). Exposed — together
-  /// with FromMoments — so checkpoints can persist and restore an
-  /// accumulator bit-exactly (src/stream/checkpoint.cc).
-  double m2() const { return m2_; }
-
-  /// Rebuilds an accumulator from its exact internal moments.
-  static RunningStats FromMoments(size_t count, double mean, double m2,
-                                  double min, double max) {
-    RunningStats s;
-    s.count_ = count;
-    s.mean_ = mean;
-    s.m2_ = m2;
-    s.min_ = min;
-    s.max_ = max;
-    return s;
-  }
 
  private:
   size_t count_ = 0;

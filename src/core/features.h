@@ -137,31 +137,6 @@ class GraphletFeaturizer {
 
   size_t rows_emitted() const { return rows_; }
 
-  /// The featurizer's replay-relevant state: the history window, the
-  /// trailing similarity baselines, and the row count. The similarity
-  /// calculator's pairwise cache is pure memoization and is deliberately
-  /// NOT part of the state — a restored featurizer recomputes cached
-  /// similarities to bit-identical values.
-  struct SavedState {
-    std::deque<Graphlet> history;
-    common::RunningStats jaccard_baseline;
-    common::RunningStats dsim_baseline;
-    size_t rows = 0;
-  };
-
-  SavedState SaveState() const {
-    return SavedState{history_, jaccard_baseline_, dsim_baseline_, rows_};
-  }
-
-  /// Restores state captured by SaveState on a featurizer constructed
-  /// with equivalent (store, span_stats, options) inputs.
-  void RestoreState(SavedState state) {
-    history_ = std::move(state.history);
-    jaccard_baseline_ = state.jaccard_baseline;
-    dsim_baseline_ = state.dsim_baseline;
-    rows_ = state.rows;
-  }
-
  private:
   const metadata::MetadataStore* store_;
   const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>*

@@ -97,8 +97,8 @@ class ProvenanceIndex {
   void OnEvent(const metadata::Event& event);
 
   /// Indexes everything the store holds that the index has not seen
-  /// yet. Batch entry point (index a finished store in one call) and
-  /// the recovery path (rebuild after RestoreState). Safe to repeat.
+  /// yet: the batch entry point (index a finished store in one call)
+  /// and how a session without a live index catches up. Safe to repeat.
   void CatchUp();
 
   /// True when the index has processed every record the store holds.

@@ -1,21 +1,24 @@
 #ifndef MLPROV_STREAM_CHECKPOINT_H_
 #define MLPROV_STREAM_CHECKPOINT_H_
 
-/// Periodic state snapshots of a durable ProvenanceSession. A checkpoint
-/// captures the session's *complete* analysis state — the replicated
-/// store (as an MLPB v1 blob), span statistics, segmenter cells with
-/// their cached graphlets and seal state, the watermark, and the online
-/// scorer's per-cell position — so recovery is: load the newest valid
-/// checkpoint, then replay the WAL tail from `records` onward. The
-/// restored session is byte-identical to the uninterrupted one (sealed
-/// graphlets, ScoreDecisions, health metrics), which the recovery
-/// fuzzer asserts at hundreds of crash offsets.
+/// Periodic checkpoints of a durable ProvenanceSession. A checkpoint
+/// holds the session's feed, not what the session derived from it: the
+/// replicated store (as an MLPB v1 blob), span statistics, the order the
+/// records arrived in, the latched trace id and the scorer flag.
+/// Recovery is replay: RestoreState feeds the newest valid checkpoint's
+/// records back through Ingest in arrival order, then the WAL tail is
+/// replayed from `records` onward. The restored session is
+/// byte-identical to the uninterrupted one (sealed graphlets,
+/// ScoreDecisions, health metrics), which the recovery fuzzer asserts at
+/// hundreds of crash offsets. A restore costs about what replaying the
+/// same prefix from the WAL costs: checkpoints let the WAL be pruned.
 ///
 /// File format, one checkpoint per file `ckpt_<records, 20-digit>.ckpt`:
 ///
-///   "MLPC" + version byte 0x01 + varint records + payload
+///   "MLPC" + version byte 0x02 + varint records + payload
 ///   + CRC-32C (4 bytes LE) over all preceding bytes
 ///
+/// A version-1 file (a snapshot of derived state) fails the header check.
 /// Files are written to a temp name and atomically renamed, so a crash
 /// mid-write never damages an existing checkpoint. Loading walks
 /// checkpoints newest-first and falls back to the next-older file on any
@@ -33,7 +36,7 @@
 namespace mlprov::stream {
 
 inline constexpr char kCheckpointMagic[4] = {'M', 'L', 'P', 'C'};
-inline constexpr uint8_t kCheckpointVersion = 1;
+inline constexpr uint8_t kCheckpointVersion = 2;
 
 /// One checkpoint file, identified by how many feed records its state
 /// covers (= the WAL sequence replay resumes from).
@@ -71,7 +74,8 @@ struct RecoveredCheckpoint {
 common::StatusOr<RecoveredCheckpoint> LoadNewestCheckpoint(
     const std::string& dir);
 
-/// Deletes all but the newest `keep` checkpoints. Returns the `records`
+/// Deletes all but the newest `keep` checkpoints, and the temp files of
+/// checkpoints a crash left unrenamed. Returns the `records`
 /// value of the oldest checkpoint kept (0 when none remain) — the safe
 /// upper bound for PruneWalSegments, so a fallback load always finds
 /// its WAL tail.

@@ -19,6 +19,23 @@ using sim::ProvenanceRecord;
 
 namespace {
 
+/// Arrival-log tag of a record kind; both feed vocabularies name their
+/// kinds alike.
+template <typename Kind>
+char ArrivalTag(Kind kind) {
+  switch (kind) {
+    case Kind::kContext:
+      return 'C';
+    case Kind::kExecution:
+      return 'E';
+    case Kind::kArtifact:
+      return 'A';
+    case Kind::kEvent:
+      return 'V';
+  }
+  return '?';
+}
+
 #ifndef MLPROV_OBS_NOOP
 /// One-letter flight-recorder tag + (id, time) of a feed record.
 struct RecordDigest {
@@ -77,7 +94,9 @@ Status ProvenanceSession::Ingest(const ProvenanceRecord& record) {
   }
   if (!status_.ok()) return status_;  // poisoned: first violation is sticky
   Status status = IngestImpl(record);
-  if (!status.ok()) {
+  if (status.ok()) {
+    arrivals_.push_back(ArrivalTag(record.kind));
+  } else {
     status_ = status;
     RecordPoisoning(record);
   }
@@ -210,7 +229,9 @@ common::Status ProvenanceSession::Ingest(const metadata::RecordRef& record) {
   }
   if (!status_.ok()) return status_;  // poisoned: first violation is sticky
   Status status = IngestImpl(record);
-  if (!status.ok()) {
+  if (status.ok()) {
+    arrivals_.push_back(ArrivalTag(record.kind));
+  } else {
     status_ = status;
     RecordPoisoning(record);
   }

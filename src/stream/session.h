@@ -199,16 +199,19 @@ class ProvenanceSession : public sim::ProvenanceSink {
   /// the SessionResult).
   const WasteAccounting& waste() const { return waste_; }
 
-  /// Serializes the session's complete analysis state — replicated
-  /// store, span stats, segmenter cells, watermark, seal queue, scoring
-  /// positions — into a checkpoint payload. Defined in checkpoint.cc,
-  /// which owns the durability wire format.
+  /// Serializes the feed this session ingested — replicated store, span
+  /// stats, arrival order, trace id, scorer flag — into a checkpoint
+  /// payload; all other state is derived and rebuilt by replay. Defined
+  /// in checkpoint.cc, which owns the durability wire format.
   void EncodeState(std::string& out) const;
 
-  /// Rebuilds this (freshly constructed, same-options) session from an
-  /// EncodeState payload and marks it recovered. The scorer itself is
-  /// not persisted: recovery must attach the same trained scorer the
-  /// original run used (it is const shared state, like the binary).
+  /// Rebuilds this (freshly constructed, same-options) session by
+  /// replaying an EncodeState payload through Ingest in arrival order,
+  /// and marks it recovered. Replayed records emit no causal flows but,
+  /// like a WAL-tail replay, bump the per-record metrics and the flight
+  /// recorder. The scorer itself is not persisted: recovery must attach
+  /// the same trained scorer the original run used (it is const shared
+  /// state, like the binary). On failure, discard the session.
   common::Status RestoreState(std::string_view payload);
 
   /// True when this session's state came from RestoreState.
@@ -255,6 +258,10 @@ class ProvenanceSession : public sim::ProvenanceSink {
   core::ProvenanceIndex index_;   // observes store_; declared after it
   StreamingSegmenter segmenter_;  // observes store_
   metadata::ContextId context_ = metadata::kInvalidId;
+  /// Kind of every successfully ingested record, in arrival order, as
+  /// the WAL's frame tags ('C', 'E', 'A', 'V'). Checkpoints persist it
+  /// so replay reproduces seal and reseal timing exactly.
+  std::string arrivals_;
   bool finished_ = false;
   bool recovered_ = false;
   common::Status status_;

@@ -33,12 +33,9 @@
 #include <cstdint>
 #include <deque>
 #include <queue>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "core/graphlet.h"
 #include "core/provenance_index.h"
 #include "core/segmentation.h"
@@ -132,14 +129,6 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
   /// Cells currently unsealed (a sealed-then-reopened cell counts once,
   /// unlike stats().sealed which counts seal *events*). O(cells).
   size_t NumOpenCells() const;
-
-  /// Serializes cells, watermark, seal/dirty state, and stats into a
-  /// checkpoint payload; RestoreState rebuilds an equivalent segmenter
-  /// (membership indexes and seal queue are reconstructed from the
-  /// cells) on a segmenter observing the already-restored store. Both
-  /// are defined in checkpoint.cc, which owns the durability format.
-  void EncodeState(std::string& out) const;
-  common::Status RestoreState(std::string_view payload);
 
  private:
   struct Cell {

@@ -5,7 +5,7 @@
 /// around a ProvenanceSession) and the supervisor that keeps one alive
 /// across crashes and poisonings.
 ///
-/// DurableSession::Open *is* recovery: it loads the newest valid
+/// DurableSession::Open *is* recovery: it restores the newest valid
 /// checkpoint (falling back through damaged ones), replays the WAL tail
 /// from the checkpoint's record count, and resumes journaling in a new
 /// segment. An uninterrupted run and a crash-recovered run end in
@@ -97,8 +97,8 @@ struct RecoveryInfo {
 };
 
 /// A ProvenanceSession made crash-consistent: every Ingest journals to
-/// the WAL before mutating session state, and checkpoints snapshot the
-/// full session every `checkpoint_interval` records. Move-only.
+/// the WAL before mutating session state, and a checkpoint of the feed
+/// every `checkpoint_interval` records lets the WAL be pruned. Move-only.
 class DurableSession {
  public:
   /// Opens (and recovers, when prior state exists) a durable session.
