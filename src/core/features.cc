@@ -14,76 +14,60 @@ using metadata::ExecutionType;
 
 namespace {
 
-constexpr ExecutionType kPreTypes[] = {
+/// Execution types with shape columns, in schema order: the pre-trainer
+/// types, the Trainer, then the post-trainer validators (not the Pusher).
+constexpr ExecutionType kShapeTypes[] = {
     ExecutionType::kExampleGen,     ExecutionType::kStatisticsGen,
     ExecutionType::kSchemaGen,      ExecutionType::kExampleValidator,
     ExecutionType::kTransform,      ExecutionType::kTuner,
-    ExecutionType::kCustom};
-constexpr ExecutionType kPostTypes[] = {ExecutionType::kEvaluator,
-                                        ExecutionType::kModelValidator,
-                                        ExecutionType::kInfraValidator};
+    ExecutionType::kCustom,         ExecutionType::kTrainer,
+    ExecutionType::kEvaluator,      ExecutionType::kModelValidator,
+    ExecutionType::kInfraValidator};
+constexpr size_t kNumShapeTypes = std::size(kShapeTypes);
+constexpr size_t kTrainerShape = 7;
+static_assert(kShapeTypes[kTrainerShape] == ExecutionType::kTrainer);
 
-/// Stage-cost type lists (Table 3's intervention points).
-const std::vector<ExecutionType>& InputTypes() {
-  static const std::vector<ExecutionType> types = {
-      ExecutionType::kExampleGen, ExecutionType::kStatisticsGen,
-      ExecutionType::kSchemaGen, ExecutionType::kExampleValidator};
-  return types;
-}
-const std::vector<ExecutionType>& PreTypes() {
-  static const std::vector<ExecutionType> types = {
-      ExecutionType::kTransform, ExecutionType::kTuner,
-      ExecutionType::kCustom};
-  return types;
-}
-const std::vector<ExecutionType>& PostTypes() {
-  static const std::vector<ExecutionType> types = {
-      ExecutionType::kEvaluator, ExecutionType::kModelValidator,
-      ExecutionType::kInfraValidator};
-  return types;
+FeatureGroup ShapeGroup(size_t shape) {
+  return shape < kTrainerShape    ? FeatureGroup::kShapePre
+         : shape == kTrainerShape ? FeatureGroup::kShapeTrainer
+                                  : FeatureGroup::kShapePost;
 }
 
-/// Shape statistics for one operator type within a graphlet.
-struct OpShape {
-  double count = 0.0;
-  double avg_in = 0.0;
-  double avg_out = 0.0;
-};
-
-OpShape ShapeOf(const metadata::MetadataStore& store,
-                const std::vector<metadata::ExecutionId>& executions,
-                ExecutionType type) {
-  OpShape shape;
-  double in_sum = 0.0, out_sum = 0.0;
-  for (metadata::ExecutionId id : executions) {
-    if (store.executions()[static_cast<size_t>(id) - 1].type != type) {
-      continue;
+/// Index into kShapeTypes of each execution type; -1 for the Pusher and
+/// for values outside the enum.
+int ShapeOf(ExecutionType type) {
+  static constexpr auto kIndex = [] {
+    std::array<int, metadata::kNumExecutionTypes> index = {};
+    index.fill(-1);
+    for (size_t s = 0; s < kNumShapeTypes; ++s) {
+      index[static_cast<size_t>(kShapeTypes[s])] = static_cast<int>(s);
     }
-    shape.count += 1.0;
-    in_sum += static_cast<double>(store.InputsOf(id).size());
-    out_sum += static_cast<double>(store.OutputsOf(id).size());
-  }
-  if (shape.count > 0.0) {
-    shape.avg_in = in_sum / shape.count;
-    shape.avg_out = out_sum / shape.count;
-  }
-  return shape;
+    return index;
+  }();
+  const auto t = static_cast<size_t>(type);
+  return t < kIndex.size() ? kIndex[t] : -1;
 }
 
-double StageCost(const metadata::MetadataStore& store,
-                 const std::vector<metadata::ExecutionId>& executions,
-                 const std::vector<ExecutionType>& types) {
-  double total = 0.0;
-  for (metadata::ExecutionId id : executions) {
-    const auto& e = store.executions()[static_cast<size_t>(id) - 1];
-    for (ExecutionType t : types) {
-      if (e.type == t) {
-        total += e.compute_cost;
-        break;
-      }
-    }
+/// Table 3 stage-cost class of an execution type: 0 input, 1
+/// pre-trainer, 2 validation, -1 none (Trainer, Pusher).
+int CostStage(ExecutionType type) {
+  switch (type) {
+    case ExecutionType::kExampleGen:
+    case ExecutionType::kStatisticsGen:
+    case ExecutionType::kSchemaGen:
+    case ExecutionType::kExampleValidator:
+      return 0;
+    case ExecutionType::kTransform:
+    case ExecutionType::kTuner:
+    case ExecutionType::kCustom:
+      return 1;
+    case ExecutionType::kEvaluator:
+    case ExecutionType::kModelValidator:
+    case ExecutionType::kInfraValidator:
+      return 2;
+    default:
+      return -1;
   }
-  return total;
 }
 
 }  // namespace
@@ -156,20 +140,11 @@ GraphletFeaturizer::Schema GraphletFeaturizer::BuildSchema(
     add_column(FeatureGroup::kCodeChange,
                "code_match_" + std::to_string(l));
   }
-  for (ExecutionType t : kPreTypes) {
-    const std::string base = metadata::ToString(t);
-    add_column(FeatureGroup::kShapePre, base + "_count");
-    add_column(FeatureGroup::kShapePre, base + "_avg_in");
-    add_column(FeatureGroup::kShapePre, base + "_avg_out");
-  }
-  add_column(FeatureGroup::kShapeTrainer, "Trainer_count");
-  add_column(FeatureGroup::kShapeTrainer, "Trainer_avg_in");
-  add_column(FeatureGroup::kShapeTrainer, "Trainer_avg_out");
-  for (ExecutionType t : kPostTypes) {
-    const std::string base = metadata::ToString(t);
-    add_column(FeatureGroup::kShapePost, base + "_count");
-    add_column(FeatureGroup::kShapePost, base + "_avg_in");
-    add_column(FeatureGroup::kShapePost, base + "_avg_out");
+  for (size_t s = 0; s < kNumShapeTypes; ++s) {
+    const std::string base = metadata::ToString(kShapeTypes[s]);
+    add_column(ShapeGroup(s), base + "_count");
+    add_column(ShapeGroup(s), base + "_avg_in");
+    add_column(ShapeGroup(s), base + "_avg_out");
   }
   return schema;
 }
@@ -187,6 +162,30 @@ GraphletFeaturizer::GraphletFeaturizer(
   num_columns_ = BuildSchema(options_).names.size();
 }
 
+GraphletFeaturizer::HistoryEntry GraphletFeaturizer::EntryFor(
+    const Graphlet& g) const {
+  HistoryEntry entry;
+  entry.sorted_spans.assign(g.input_spans.begin(), g.input_spans.end());
+  std::sort(entry.sorted_spans.begin(), entry.sorted_spans.end());
+  entry.sorted_spans.erase(
+      std::unique(entry.sorted_spans.begin(), entry.sorted_spans.end()),
+      entry.sorted_spans.end());
+  for (metadata::ArtifactId id : g.input_spans) {
+    auto it = span_stats_->find(id);
+    if (it == span_stats_->end()) continue;
+    entry.span_keys.push_back(id);
+    entry.spans.push_back(&it->second);
+  }
+  return entry;
+}
+
+double GraphletFeaturizer::DatasetSimilarity(const HistoryEntry& a,
+                                             const HistoryEntry& b) {
+  // Eq. 3 over the spans that have stats, as GraphletDatasetSimilarity.
+  return calc_.SequenceSimilarity(a.spans, a.span_keys, b.spans, b.span_keys,
+                                  options_.similarity.positional_features);
+}
+
 std::vector<double> GraphletFeaturizer::Row(const Graphlet& g) {
   std::vector<double> row(num_columns_, 0.0);
   size_t col = 0;
@@ -198,14 +197,15 @@ std::vector<double> GraphletFeaturizer::Row(const Graphlet& g) {
     row[col++] = g.architecture == a ? 1.0 : 0.0;
   }
   // History features (history_.back() is lag 1).
+  HistoryEntry entry = EntryFor(g);
   double jaccard_1 = 0.0, dsim_1 = 0.0;
   for (int l = 1; l <= window_; ++l) {
     if (history_.size() >= static_cast<size_t>(l)) {
-      const Graphlet& prev = history_[history_.size() - static_cast<size_t>(l)];
-      const double jaccard = GraphletJaccard(g, prev);
-      const double dsim = GraphletDatasetSimilarity(
-          *span_stats_, g, prev, calc_,
-          options_.similarity.positional_features);
+      const HistoryEntry& prev =
+          history_[history_.size() - static_cast<size_t>(l)];
+      const double jaccard = similarity::SortedJaccardSimilarity(
+          entry.sorted_spans, prev.sorted_spans);
+      const double dsim = DatasetSimilarity(entry, prev);
       row[col++] = jaccard;
       row[col++] = dsim;
       if (l == 1) {
@@ -230,7 +230,8 @@ std::vector<double> GraphletFeaturizer::Row(const Graphlet& g) {
           : 0.0;
   for (int l = 1; l <= window_; ++l) {
     if (history_.size() >= static_cast<size_t>(l)) {
-      const Graphlet& prev = history_[history_.size() - static_cast<size_t>(l)];
+      const HistoryEntry& prev =
+          history_[history_.size() - static_cast<size_t>(l)];
       row[col++] = g.code_version == prev.code_version ? 1.0 : 0.0;
     } else {
       row[col++] = 1.0;
@@ -238,39 +239,56 @@ std::vector<double> GraphletFeaturizer::Row(const Graphlet& g) {
   }
   // Shape features (the trailing columns of the schema).
   UpdateShapeColumns(g, &row);
+  handoff_.valid = true;
+  handoff_.rows = rows_;
+  handoff_.input_spans.assign(g.input_spans.begin(), g.input_spans.end());
+  handoff_.entry = std::move(entry);
+  handoff_.jaccard_1 = jaccard_1;
+  handoff_.dsim_1 = dsim_1;
   return row;
 }
 
 void GraphletFeaturizer::UpdateShapeColumns(
     const Graphlet& g, std::vector<double>* row) const {
-  constexpr size_t kShapeColumns =
-      (std::size(kPreTypes) + 1 + std::size(kPostTypes)) * 3;
-  size_t col = num_columns_ - kShapeColumns;
-  auto write = [&](ExecutionType type) {
-    const OpShape shape = ShapeOf(*store_, g.executions, type);
-    (*row)[col++] = shape.count;
-    (*row)[col++] = shape.avg_in;
-    (*row)[col++] = shape.avg_out;
-  };
-  for (ExecutionType t : kPreTypes) write(t);
-  write(ExecutionType::kTrainer);
-  for (ExecutionType t : kPostTypes) write(t);
+  // One pass; each type's sums accumulate in execution order, as a
+  // per-type pass would.
+  std::array<double, kNumShapeTypes> count = {}, in_sum = {}, out_sum = {};
+  for (metadata::ExecutionId id : g.executions) {
+    const int shape =
+        ShapeOf(store_->executions()[static_cast<size_t>(id) - 1].type);
+    if (shape < 0) continue;
+    const auto s = static_cast<size_t>(shape);
+    count[s] += 1.0;
+    in_sum[s] += static_cast<double>(store_->InputsOf(id).size());
+    out_sum[s] += static_cast<double>(store_->OutputsOf(id).size());
+  }
+  size_t col = num_columns_ - kNumShapeTypes * 3;
+  for (size_t s = 0; s < kNumShapeTypes; ++s) {
+    (*row)[col++] = count[s];
+    (*row)[col++] = count[s] > 0.0 ? in_sum[s] / count[s] : 0.0;
+    (*row)[col++] = count[s] > 0.0 ? out_sum[s] / count[s] : 0.0;
+  }
 }
 
 void GraphletFeaturizer::Advance(const Graphlet& g) {
-  // Recomputing the lag-1 similarities here (rather than caching them
-  // from Row) keeps Row/Advance independently callable; the similarity
-  // calculator's pairwise cache makes the second evaluation cheap, and
-  // the values are deterministic, so NextRow's baselines are identical
-  // to the pre-split single-pass computation.
+  // Row(g) has just computed g's entry and its lag-1 similarities
+  // against this same history: take them. Any other graphlet, or a
+  // history advanced since, computes them here.
+  const bool handoff = handoff_.valid && handoff_.rows == rows_ &&
+                       handoff_.input_spans == g.input_spans;
+  HistoryEntry entry = handoff ? std::move(handoff_.entry) : EntryFor(g);
+  handoff_.valid = false;
+  entry.trainer_start = g.trainer_start;
+  entry.code_version = g.code_version;
   if (!history_.empty()) {
-    const Graphlet& prev = history_.back();
-    jaccard_baseline_.Add(GraphletJaccard(g, prev));
-    dsim_baseline_.Add(GraphletDatasetSimilarity(
-        *span_stats_, g, prev, calc_,
-        options_.similarity.positional_features));
+    const HistoryEntry& prev = history_.back();
+    jaccard_baseline_.Add(handoff ? handoff_.jaccard_1
+                                  : similarity::SortedJaccardSimilarity(
+                                        entry.sorted_spans, prev.sorted_spans));
+    dsim_baseline_.Add(handoff ? handoff_.dsim_1
+                               : DatasetSimilarity(entry, prev));
   }
-  history_.push_back(g);
+  history_.push_back(std::move(entry));
   if (history_.size() > static_cast<size_t>(window_)) history_.pop_front();
   ++rows_;
 }
@@ -284,11 +302,18 @@ std::array<double, 4> GraphletFeaturizer::StageCosts(
   const double span_share =
       1.0 /
       static_cast<double>(std::max<size_t>(1, g.input_spans.size()));
+  // One pass; each stage's sum accumulates in execution order.
+  std::array<double, 3> stage = {};
+  for (metadata::ExecutionId id : g.executions) {
+    const auto& e = store_->executions()[static_cast<size_t>(id) - 1];
+    const int s = CostStage(e.type);
+    if (s >= 0) stage[static_cast<size_t>(s)] += e.compute_cost;
+  }
   std::array<double, 4> costs = {};
-  costs[0] = StageCost(*store_, g.executions, InputTypes()) * span_share;
-  costs[1] = costs[0] + StageCost(*store_, g.executions, PreTypes());
+  costs[0] = stage[0] * span_share;
+  costs[1] = costs[0] + stage[1];
   costs[2] = costs[1] + g.trainer_cost;
-  costs[3] = costs[2] + StageCost(*store_, g.executions, PostTypes());
+  costs[3] = costs[2] + stage[2];
   return costs;
 }
 

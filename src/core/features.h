@@ -99,6 +99,8 @@ class GraphletFeaturizer {
 
   /// `store` and `span_stats` describe the pipeline's (possibly still
   /// growing) trace; both are borrowed and must outlive the featurizer.
+  /// A span's stats are read when a graphlet carrying it is featurized,
+  /// so they must arrive no later than the span and never change.
   GraphletFeaturizer(
       const metadata::MetadataStore* store,
       const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>*
@@ -120,7 +122,8 @@ class GraphletFeaturizer {
 
   /// Commits the graphlet to the history window and the similarity
   /// baselines. Row(g) followed by Advance(g) is bit-identical to the
-  /// batch NextRow(g).
+  /// batch NextRow(g), and takes Row's lag-1 similarities instead of
+  /// computing them again.
   void Advance(const Graphlet& graphlet);
 
   /// Rewrites only the operator-shape columns (kShapePre / kShapeTrainer
@@ -138,6 +141,20 @@ class GraphletFeaturizer {
   size_t rows_emitted() const { return rows_; }
 
  private:
+  /// What later rows read of a committed graphlet.
+  struct HistoryEntry {
+    /// Input spans, sorted and deduplicated (Jaccard).
+    std::vector<int64_t> sorted_spans;
+    /// Input spans that have stats, in graphlet order, with their stats
+    /// (dataset similarity; the calculator keeps their sketches).
+    std::vector<int64_t> span_keys;
+    std::vector<const dataspan::SpanStats*> spans;
+    metadata::Timestamp trainer_start = 0;
+    int64_t code_version = 0;
+  };
+  HistoryEntry EntryFor(const Graphlet& graphlet) const;
+  double DatasetSimilarity(const HistoryEntry& a, const HistoryEntry& b);
+
   const metadata::MetadataStore* store_;
   const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>*
       span_stats_;
@@ -149,7 +166,19 @@ class GraphletFeaturizer {
   common::RunningStats jaccard_baseline_;
   common::RunningStats dsim_baseline_;
   /// The `window_` most recent graphlets, most recent last.
-  std::deque<Graphlet> history_;
+  std::deque<HistoryEntry> history_;
+  /// The last Row's graphlet entry and lag-1 similarities, valid for an
+  /// Advance of a graphlet with the same input spans before any other
+  /// Advance (rows_ unchanged).
+  struct Handoff {
+    bool valid = false;
+    size_t rows = 0;
+    std::vector<metadata::ArtifactId> input_spans;
+    HistoryEntry entry;
+    double jaccard_1 = 0.0;
+    double dsim_1 = 0.0;
+  };
+  Handoff handoff_;
   size_t rows_ = 0;
 };
 

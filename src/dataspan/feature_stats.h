@@ -20,6 +20,38 @@ enum class FeatureKind : uint8_t {
   kCategorical = 1,
 };
 
+/// The fixed part of re-binning a feature's statistics into `out_bins`
+/// equal-width bins over [0,1]: the bin width, and for each recorded
+/// numeric bin the output bins it overlaps, by how much, and its own
+/// width. These depend only on `out_bins`, so a hasher that converts every
+/// feature to the same width builds them once; a numeric feature then
+/// costs one `(mass * overlap) / width` per term, the expression the
+/// direct computation evaluates.
+class Rebinning {
+ public:
+  explicit Rebinning(int out_bins);
+
+  int out_bins() const { return out_bins_; }
+  /// 1.0 / out_bins.
+  double bin_width() const { return bin_width_; }
+
+  /// Adds `mass`, uniform over recorded numeric bin `bin`, to `out`
+  /// (out_bins() entries). Non-positive mass adds nothing.
+  void SpreadNumeric(int bin, double mass, double* out) const;
+
+ private:
+  struct Term {
+    int out_bin = 0;
+    double overlap = 0.0;
+  };
+  int out_bins_;
+  double bin_width_;
+  std::array<double, kNumericBins> width_ = {};
+  /// Terms of recorded bin i: [begin_[i], begin_[i + 1]).
+  std::array<size_t, kNumericBins + 1> begin_ = {};
+  std::vector<Term> terms_;
+};
+
 /// Privacy-preserving summary statistics for one feature of one data span,
 /// exactly in the shape the paper's corpus records (Appendix B). Raw values
 /// and term strings are never stored; terms are anonymized to hashes.
@@ -54,6 +86,10 @@ struct FeatureStats {
   /// Returns a distribution with `out_bins` entries summing to 1 (or all
   /// zeros if the feature is empty).
   std::vector<double> ToDistribution(int out_bins = kNumericBins) const;
+
+  /// Same distribution, written to `out` (rebinning.out_bins() entries)
+  /// without allocating; bit-identical to the overload above.
+  void ToDistribution(const Rebinning& rebinning, double* out) const;
 
   /// True if the feature recorded no data.
   bool Empty() const;

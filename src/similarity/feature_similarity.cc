@@ -1,17 +1,30 @@
 #include "similarity/feature_similarity.h"
 
+#include <algorithm>
+
 namespace mlprov::similarity {
 
 FeatureSimilarity::FeatureSimilarity(const FeatureSimilarityOptions& options)
-    : options_(options), lsh_(options.lsh) {}
+    : options_(options), lsh_(options.lsh), rebinning_(options.lsh.dim) {}
+
+void FeatureSimilarity::Buckets(const dataspan::FeatureStats& f,
+                                double* scratch, int64_t* buckets) const {
+  f.ToDistribution(rebinning_, scratch);
+  lsh_.Buckets(scratch, buckets);
+}
 
 int64_t FeatureSimilarity::Hash(const dataspan::FeatureStats& f) const {
-  return lsh_.Hash(f.ToDistribution(lsh_.options().dim));
+  const std::vector<int64_t> buckets = HashVector(f);
+  return S2JsdLsh::Signature(buckets.data(), lsh_.options().num_hashes);
 }
 
 std::vector<int64_t> FeatureSimilarity::HashVector(
     const dataspan::FeatureStats& f) const {
-  return lsh_.HashVector(f.ToDistribution(lsh_.options().dim));
+  std::vector<double> scratch(static_cast<size_t>(lsh_.options().dim));
+  std::vector<int64_t> buckets(
+      static_cast<size_t>(lsh_.options().num_hashes));
+  Buckets(f, scratch.data(), buckets.data());
+  return buckets;
 }
 
 double FeatureSimilarity::SoftSimilarity(
@@ -19,13 +32,20 @@ double FeatureSimilarity::SoftSimilarity(
     const dataspan::FeatureStats& f2,
     const std::vector<int64_t>& hashes2) const {
   if (f1.kind != f2.kind) return 0.0;
-  const size_t n = std::min(hashes1.size(), hashes2.size());
-  double matches = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (hashes1[i] == hashes2[i]) matches += 1.0;
-  }
-  double s = n ? options_.alpha * matches / static_cast<double>(n) : 0.0;
-  if (f1.name == f2.name) s += options_.beta;
+  return SoftSimilarity(hashes1.data(), hashes2.data(),
+                        std::min(hashes1.size(), hashes2.size()),
+                        f1.name == f2.name);
+}
+
+double FeatureSimilarity::SoftSimilarity(const int64_t* buckets1,
+                                         const int64_t* buckets2, size_t n,
+                                         bool same_name) const {
+  size_t matches = 0;
+  for (size_t i = 0; i < n; ++i) matches += buckets1[i] == buckets2[i];
+  double s = n ? options_.alpha * static_cast<double>(matches) /
+                     static_cast<double>(n)
+               : 0.0;
+  if (same_name) s += options_.beta;
   return s;
 }
 

@@ -1,7 +1,9 @@
 #ifndef MLPROV_SIMILARITY_FEATURE_SIMILARITY_H_
 #define MLPROV_SIMILARITY_FEATURE_SIMILARITY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "dataspan/feature_stats.h"
 #include "similarity/s2jsd_lsh.h"
@@ -29,6 +31,13 @@ class FeatureSimilarity {
  public:
   explicit FeatureSimilarity(const FeatureSimilarityOptions& options);
 
+  /// Writes the `lsh.num_hashes` bucket indices of f's recorded
+  /// distribution to `buckets`, using `scratch` (`lsh.dim` doubles). The
+  /// one hashing path: Hash, HashVector and span sketches all run it.
+  /// Allocation-free.
+  void Buckets(const dataspan::FeatureStats& f, double* scratch,
+               int64_t* buckets) const;
+
   /// The LSH signature of a feature's recorded distribution.
   int64_t Hash(const dataspan::FeatureStats& f) const;
   /// Per-hash bucket indices (soft-similarity mode).
@@ -45,6 +54,11 @@ class FeatureSimilarity {
                         const dataspan::FeatureStats& f2,
                         const std::vector<int64_t>& hashes2) const;
 
+  /// The soft variant for two same-kind features given as `n` bucket
+  /// indices each and whether their names are equal.
+  double SoftSimilarity(const int64_t* buckets1, const int64_t* buckets2,
+                        size_t n, bool same_name) const;
+
   /// Convenience overload that hashes internally.
   double Similarity(const dataspan::FeatureStats& f1,
                     const dataspan::FeatureStats& f2) const;
@@ -54,6 +68,7 @@ class FeatureSimilarity {
  private:
   FeatureSimilarityOptions options_;
   S2JsdLsh lsh_;
+  dataspan::Rebinning rebinning_;
 };
 
 }  // namespace mlprov::similarity

@@ -6,6 +6,15 @@
 
 namespace mlprov::similarity {
 
+/// floor(x) as an integer, without a libm call: the LSH bucket index. NaN
+/// and values outside the int64 range give INT64_MIN, which is what
+/// converting std::floor(x) yields on x86-64.
+inline int64_t FloorToInt64(double x) {
+  if (!(x > -0x1p63 && x < 0x1p63)) return INT64_MIN;
+  const auto t = static_cast<int64_t>(x);  // truncates toward zero
+  return static_cast<double>(t) > x ? t - 1 : t;
+}
+
 /// Locality-sensitive hashing scheme for probability distributions,
 /// following S2JSD-LSH (Mao et al., AAAI 2017), which the paper uses for
 /// cheap feature-to-feature similarity (Appendix B). The scheme exploits
@@ -45,6 +54,14 @@ class S2JsdLsh {
   std::vector<int64_t> HashVector(
       const std::vector<double>& distribution) const;
 
+  /// The kernel behind Hash and HashVector: normalizes `distribution`
+  /// (exactly `dim` entries) in place into its Hellinger embedding and
+  /// writes the `num_hashes` bucket indices to `buckets`. Allocation-free.
+  void Buckets(double* distribution, int64_t* buckets) const;
+
+  /// Combines `num_hashes` bucket indices into Hash's signature.
+  static int64_t Signature(const int64_t* buckets, int num_hashes);
+
   /// The approximated metric itself: sqrt of twice the Jensen-Shannon
   /// divergence between p and q (normalized internally, equal sizes
   /// enforced by padding). Exposed for tests and for exact comparisons.
@@ -55,7 +72,9 @@ class S2JsdLsh {
 
  private:
   Options options_;
-  /// num_hashes projection vectors of length dim, then num_hashes offsets.
+  /// The num_hashes projection vectors, transposed: entry
+  /// [i * num_hashes + h] is coordinate i of vector h, so one pass over
+  /// the distribution feeds every hash's dot product.
   std::vector<double> projections_;
   std::vector<double> offsets_;
 };

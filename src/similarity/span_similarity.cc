@@ -1,6 +1,7 @@
 #include "similarity/span_similarity.h"
 
 #include <algorithm>
+#include <string>
 
 #include "similarity/emd.h"
 
@@ -11,6 +12,11 @@ double JaccardSimilarity(std::vector<int64_t> a, std::vector<int64_t> b) {
   a.erase(std::unique(a.begin(), a.end()), a.end());
   std::sort(b.begin(), b.end());
   b.erase(std::unique(b.begin(), b.end()), b.end());
+  return SortedJaccardSimilarity(a, b);
+}
+
+double SortedJaccardSimilarity(const std::vector<int64_t>& a,
+                               const std::vector<int64_t>& b) {
   if (a.empty() && b.empty()) return 0.0;
   size_t inter = 0;
   size_t i = 0, j = 0;
@@ -29,120 +35,143 @@ double JaccardSimilarity(std::vector<int64_t> a, std::vector<int64_t> b) {
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
+namespace {
+
+/// FNV-1a over the name's bytes.
+int64_t NameHash(const std::string& name) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const unsigned char c : name) {
+    h ^= c;
+    h *= 0x100000001B3ull;
+  }
+  return static_cast<int64_t>(h);
+}
+
+}  // namespace
+
 SpanSimilarityCalculator::SpanSimilarityCalculator(
     const FeatureSimilarityOptions& options)
-    : feature_similarity_(options) {}
+    : feature_similarity_(options),
+      stride_(kBuckets + static_cast<size_t>(options.lsh.num_hashes)),
+      scratch_(static_cast<size_t>(options.lsh.dim)) {}
 
 void SpanSimilarityCalculator::ClearCache() {
-  hash_cache_.clear();
-  hash_vector_cache_.clear();
+  sketches_.clear();
   pair_cache_.clear();
 }
 
-const std::vector<int64_t>& SpanSimilarityCalculator::HashesFor(
-    int64_t key, const dataspan::SpanStats& span) {
-  auto it = hash_cache_.find(key);
-  if (it != hash_cache_.end()) return it->second;
-  std::vector<int64_t> hashes;
-  hashes.reserve(span.features.size());
-  for (const dataspan::FeatureStats& f : span.features) {
-    hashes.push_back(feature_similarity_.Hash(f));
-  }
-  return hash_cache_.emplace(key, std::move(hashes)).first->second;
+size_t SpanSimilarityCalculator::PairKeyHash::operator()(
+    const PairKey& key) const noexcept {
+  uint64_t h = static_cast<uint64_t>(key.lo) * 0x9E3779B97F4A7C15ull;
+  h ^= static_cast<uint64_t>(key.hi) + 0x7F4A7C159E3779B9ull + (h << 6) +
+       (h >> 2);
+  return static_cast<size_t>(h ^ static_cast<uint64_t>(key.metric));
 }
 
-double SpanSimilarityCalculator::SpanPairSimilarity(
-    const dataspan::SpanStats& a, const dataspan::SpanStats& b) const {
+void SpanSimilarityCalculator::BuildSketch(const dataspan::SpanStats& span,
+                                           double* scratch,
+                                           Sketch* out) const {
+  const int num_hashes = static_cast<int>(stride_ - kBuckets);
+  out->resize(span.features.size() * stride_);
+  int64_t* words = out->data();
+  for (const dataspan::FeatureStats& f : span.features) {
+    words[kKind] = static_cast<int64_t>(f.kind);
+    words[kNameHash] = NameHash(f.name);
+    feature_similarity_.Buckets(f, scratch, words + kBuckets);
+    words[kSignature] = S2JsdLsh::Signature(words + kBuckets, num_hashes);
+    words += stride_;
+  }
+}
+
+const SpanSimilarityCalculator::Sketch& SpanSimilarityCalculator::SketchFor(
+    int64_t key, const dataspan::SpanStats& span) {
+  auto [it, inserted] = sketches_.try_emplace(key);
+  if (inserted) BuildSketch(span, scratch_.data(), &it->second);
+  return it->second;
+}
+
+double SpanSimilarityCalculator::EmdSimilarity(
+    const dataspan::SpanStats& a, const Sketch& sa,
+    const dataspan::SpanStats& b, const Sketch& sb) const {
   if (a.features.empty() || b.features.empty()) return 0.0;
-  std::vector<int64_t> ha, hb;
-  ha.reserve(a.features.size());
-  hb.reserve(b.features.size());
-  for (const auto& f : a.features) ha.push_back(feature_similarity_.Hash(f));
-  for (const auto& f : b.features) hb.push_back(feature_similarity_.Hash(f));
   const std::vector<double> supply(a.features.size(), 1.0);
   const std::vector<double> demand(b.features.size(), 1.0);
   const double emd = EarthMoversDistance(
       supply, demand, [&](size_t i, size_t j) {
-        return 1.0 - feature_similarity_.Similarity(a.features[i], ha[i],
-                                                    b.features[j], hb[j]);
+        return 1.0 - feature_similarity_.Similarity(
+                         a.features[i], sa[i * stride_ + kSignature],
+                         b.features[j], sb[j * stride_ + kSignature]);
       });
   return std::clamp(1.0 - emd, 0.0, 1.0);
+}
+
+double SpanSimilarityCalculator::PositionalSimilarity(
+    const dataspan::SpanStats& a, const Sketch& sa,
+    const dataspan::SpanStats& b, const Sketch& sb) const {
+  const size_t common = std::min(a.features.size(), b.features.size());
+  const bool soft = feature_similarity_.options().soft_hash;
+  const size_t num_hashes = stride_ - kBuckets;
+  const int64_t* x = sa.data();
+  const int64_t* y = sb.data();
+  double total = 0.0;
+  for (size_t i = 0; i < common; ++i, x += stride_, y += stride_) {
+    if (x[kKind] != y[kKind]) continue;  // cross-kind pairs score 0
+    if (soft) {
+      // Equal name hashes are confirmed by comparing the names.
+      const bool same_name = x[kNameHash] == y[kNameHash] &&
+                             a.features[i].name == b.features[i].name;
+      total += feature_similarity_.SoftSimilarity(
+          x + kBuckets, y + kBuckets, num_hashes, same_name);
+    } else {
+      total += feature_similarity_.Similarity(
+          a.features[i], x[kSignature], b.features[i], y[kSignature]);
+    }
+  }
+  return total / static_cast<double>(
+                     std::max(a.features.size(), b.features.size()));
+}
+
+double SpanSimilarityCalculator::SpanPairSimilarity(
+    const dataspan::SpanStats& a, const dataspan::SpanStats& b) const {
+  std::vector<double> scratch(scratch_.size());
+  Sketch sa, sb;
+  BuildSketch(a, scratch.data(), &sa);
+  BuildSketch(b, scratch.data(), &sb);
+  return EmdSimilarity(a, sa, b, sb);
+}
+
+double SpanSimilarityCalculator::Cached(int64_t key_a,
+                                        const dataspan::SpanStats& a,
+                                        int64_t key_b,
+                                        const dataspan::SpanStats& b,
+                                        Metric metric) {
+  // Symmetric: the span keys are ordered.
+  const PairKey key = {std::min(key_a, key_b), std::max(key_a, key_b),
+                       metric};
+  if (auto it = pair_cache_.find(key); it != pair_cache_.end()) {
+    return it->second;
+  }
+  double value = 0.0;
+  if (!a.features.empty() && !b.features.empty()) {
+    const Sketch& sa = SketchFor(key_a, a);
+    const Sketch& sb = SketchFor(key_b, b);
+    value = metric == Metric::kEmd ? EmdSimilarity(a, sa, b, sb)
+                                   : PositionalSimilarity(a, sa, b, sb);
+  }
+  pair_cache_.emplace(key, value);
+  return value;
 }
 
 double SpanSimilarityCalculator::SpanPairSimilarityCached(
     int64_t key_a, const dataspan::SpanStats& a, int64_t key_b,
     const dataspan::SpanStats& b) {
-  // Symmetric cache key: order the span keys.
-  const uint64_t lo = static_cast<uint64_t>(std::min(key_a, key_b));
-  const uint64_t hi = static_cast<uint64_t>(std::max(key_a, key_b));
-  const uint64_t cache_key = (hi << 32) ^ (lo * 0x9E3779B97F4A7C15ull);
-  auto it = pair_cache_.find(cache_key);
-  if (it != pair_cache_.end()) return it->second;
-
-  double value = 0.0;
-  if (!a.features.empty() && !b.features.empty()) {
-    const std::vector<int64_t>& ha = HashesFor(key_a, a);
-    const std::vector<int64_t>& hb = HashesFor(key_b, b);
-    const std::vector<double> supply(a.features.size(), 1.0);
-    const std::vector<double> demand(b.features.size(), 1.0);
-    const double emd = EarthMoversDistance(
-        supply, demand, [&](size_t i, size_t j) {
-          return 1.0 - feature_similarity_.Similarity(a.features[i], ha[i],
-                                                      b.features[j], hb[j]);
-        });
-    value = std::clamp(1.0 - emd, 0.0, 1.0);
-  }
-  pair_cache_.emplace(cache_key, value);
-  return value;
-}
-
-const std::vector<std::vector<int64_t>>&
-SpanSimilarityCalculator::HashVectorsFor(int64_t key,
-                                         const dataspan::SpanStats& span) {
-  auto it = hash_vector_cache_.find(key);
-  if (it != hash_vector_cache_.end()) return it->second;
-  std::vector<std::vector<int64_t>> hashes;
-  hashes.reserve(span.features.size());
-  for (const dataspan::FeatureStats& f : span.features) {
-    hashes.push_back(feature_similarity_.HashVector(f));
-  }
-  return hash_vector_cache_.emplace(key, std::move(hashes)).first->second;
+  return Cached(key_a, a, key_b, b, Metric::kEmd);
 }
 
 double SpanSimilarityCalculator::PositionalSimilarityCached(
     int64_t key_a, const dataspan::SpanStats& a, int64_t key_b,
     const dataspan::SpanStats& b) {
-  const uint64_t lo = static_cast<uint64_t>(std::min(key_a, key_b));
-  const uint64_t hi = static_cast<uint64_t>(std::max(key_a, key_b));
-  // Distinct cache namespace from the EMD variant (top bit).
-  const uint64_t cache_key =
-      ((hi << 32) ^ (lo * 0x9E3779B97F4A7C15ull)) | (1ull << 63);
-  auto it = pair_cache_.find(cache_key);
-  if (it != pair_cache_.end()) return it->second;
-  double value = 0.0;
-  if (!a.features.empty() && !b.features.empty()) {
-    const size_t common = std::min(a.features.size(), b.features.size());
-    double total = 0.0;
-    if (feature_similarity_.options().soft_hash) {
-      const auto& ha = HashVectorsFor(key_a, a);
-      const auto& hb = HashVectorsFor(key_b, b);
-      for (size_t i = 0; i < common; ++i) {
-        total += feature_similarity_.SoftSimilarity(a.features[i], ha[i],
-                                                    b.features[i], hb[i]);
-      }
-    } else {
-      const std::vector<int64_t>& ha = HashesFor(key_a, a);
-      const std::vector<int64_t>& hb = HashesFor(key_b, b);
-      for (size_t i = 0; i < common; ++i) {
-        total += feature_similarity_.Similarity(a.features[i], ha[i],
-                                                b.features[i], hb[i]);
-      }
-    }
-    value = total / static_cast<double>(
-                        std::max(a.features.size(), b.features.size()));
-  }
-  pair_cache_.emplace(cache_key, value);
-  return value;
+  return Cached(key_a, a, key_b, b, Metric::kPositional);
 }
 
 double SpanSimilarityCalculator::SequenceSimilarity(

@@ -15,6 +15,10 @@ namespace mlprov::similarity {
 /// duplicates (deduplicated internally). Two empty sets have similarity 0.
 double JaccardSimilarity(std::vector<int64_t> a, std::vector<int64_t> b);
 
+/// The same on sets given sorted ascending without duplicates.
+double SortedJaccardSimilarity(const std::vector<int64_t>& a,
+                               const std::vector<int64_t>& b);
+
 /// Appendix B dataset similarity, layered over FeatureSimilarity:
 ///  - span-pair similarity S(D1, D2): EMD over the feature sets with
 ///    equal cluster weights and ground distance 1 - s(f_i, f_j), reported
@@ -24,9 +28,9 @@ double JaccardSimilarity(std::vector<int64_t> a, std::vector<int64_t> b);
 ///    sum of pairwise similarities / max(n, m).
 ///  - bipartite alternative: max-weight matching of spans instead of
 ///    ordinal alignment, normalized the same way.
-/// The calculator memoizes feature hashes and span-pair values by caller-
-/// provided span keys (artifact ids), which is what makes corpus-scale
-/// analysis tractable (rolling windows re-compare the same span pairs).
+/// The calculator sketches each span once, on its first comparison, and
+/// memoizes span-pair values, both by caller-provided span keys (artifact
+/// ids): rolling windows re-compare the same spans and span pairs.
 class SpanSimilarityCalculator {
  public:
   explicit SpanSimilarityCalculator(const FeatureSimilarityOptions& options);
@@ -46,7 +50,7 @@ class SpanSimilarityCalculator {
   /// (spans of one pipeline share a stable schema order), avoiding the
   /// EMD's cross-feature matches. Mean Eq.-2 similarity over the common
   /// prefix, normalized by the longer feature list. Cached like the EMD
-  /// variant (separate cache namespace).
+  /// variant; the metric is part of the cache key.
   double PositionalSimilarityCached(int64_t key_a,
                                     const dataspan::SpanStats& a,
                                     int64_t key_b,
@@ -73,18 +77,47 @@ class SpanSimilarityCalculator {
   void ClearCache();
 
  private:
-  /// Per-feature hashes for a span, memoized by span key.
-  const std::vector<int64_t>& HashesFor(int64_t key,
-                                        const dataspan::SpanStats& span);
-  /// Per-feature hash vectors (soft mode), memoized by span key.
-  const std::vector<std::vector<int64_t>>& HashVectorsFor(
-      int64_t key, const dataspan::SpanStats& span);
+  /// One span's features sketched for comparison (DESIGN.md "Span
+  /// sketches"): per feature, `stride_` contiguous words — kind, 64-bit
+  /// name hash, LSH signature, then the num_hashes bucket indices.
+  using Sketch = std::vector<int64_t>;
+  static constexpr size_t kKind = 0;
+  static constexpr size_t kNameHash = 1;
+  static constexpr size_t kSignature = 2;
+  static constexpr size_t kBuckets = 3;
+
+  enum class Metric : uint8_t { kEmd, kPositional };
+  /// A cached pair: the two span keys, ordered, and the metric.
+  struct PairKey {
+    int64_t lo = 0;
+    int64_t hi = 0;
+    Metric metric = Metric::kEmd;
+    bool operator==(const PairKey&) const = default;
+  };
+  struct PairKeyHash {
+    size_t operator()(const PairKey& key) const noexcept;
+  };
+  double Cached(int64_t key_a, const dataspan::SpanStats& a, int64_t key_b,
+                const dataspan::SpanStats& b, Metric metric);
+
+  /// Writes `span`'s sketch to `out`; `scratch` holds lsh.dim doubles.
+  void BuildSketch(const dataspan::SpanStats& span, double* scratch,
+                   Sketch* out) const;
+  /// The span's sketch, built on first request and kept by span key.
+  const Sketch& SketchFor(int64_t key, const dataspan::SpanStats& span);
+  double EmdSimilarity(const dataspan::SpanStats& a, const Sketch& sa,
+                       const dataspan::SpanStats& b, const Sketch& sb) const;
+  /// For two non-empty spans.
+  double PositionalSimilarity(const dataspan::SpanStats& a,
+                              const Sketch& sa,
+                              const dataspan::SpanStats& b,
+                              const Sketch& sb) const;
 
   FeatureSimilarity feature_similarity_;
-  std::unordered_map<int64_t, std::vector<int64_t>> hash_cache_;
-  std::unordered_map<int64_t, std::vector<std::vector<int64_t>>>
-      hash_vector_cache_;
-  std::unordered_map<uint64_t, double> pair_cache_;
+  size_t stride_;
+  std::vector<double> scratch_;
+  std::unordered_map<int64_t, Sketch> sketches_;
+  std::unordered_map<PairKey, double, PairKeyHash> pair_cache_;
 };
 
 }  // namespace mlprov::similarity

@@ -1,5 +1,6 @@
 #include "similarity/span_similarity.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -231,6 +232,38 @@ TEST(SpanSimilarityCacheTest, CacheHitsProduceSameValues) {
   EXPECT_DOUBLE_EQ(first, swapped);
   calc.ClearCache();
   EXPECT_EQ(calc.cache_size(), 0u);
+}
+
+TEST(SpanSimilarityCacheTest, KeysDifferingOnlyInHighBitsDoNotAlias) {
+  FeatureSimilarityOptions options;
+  options.soft_hash = true;
+  SpanSimilarityCalculator calc(options);
+  const SpanStats a = MakeSpan(5, 1);
+  const SpanStats b = MakeSpan(5, 1);
+  SpanStats c = MakeSpan(5, 8);
+  for (FeatureStats& f : c.features) f.name += "_c";
+  const double ab = calc.PositionalSimilarityCached(1, a, 5, b);
+  const int64_t far_key = (int64_t{1} << 32) + 5;
+  const double ac = calc.PositionalSimilarityCached(1, a, far_key, c);
+  SpanSimilarityCalculator fresh(options);
+  EXPECT_EQ(ac, fresh.PositionalSimilarityCached(1, a, far_key, c));
+  EXPECT_NE(ab, ac);
+  EXPECT_EQ(calc.cache_size(), 2u);
+}
+
+TEST(SpanSimilarityCacheTest, MetricsDoNotShareEntries) {
+  SpanSimilarityCalculator calc(FeatureSimilarityOptions{});
+  const SpanStats a = MakeSpan(4, 1);
+  SpanStats b = MakeSpan(4, 8);
+  std::reverse(b.features.begin(), b.features.end());
+  // Keys whose ordered pair once mapped the EMD and positional entries
+  // to the same slot.
+  const double emd = calc.SpanPairSimilarityCached(1, a, 5, b);
+  const double positional = calc.PositionalSimilarityCached(1, a, 5, b);
+  SpanSimilarityCalculator fresh(FeatureSimilarityOptions{});
+  EXPECT_EQ(positional, fresh.PositionalSimilarityCached(1, a, 5, b));
+  EXPECT_NE(emd, positional);
+  EXPECT_EQ(calc.cache_size(), 2u);
 }
 
 TEST(SpanSimilarityCacheTest, UncachedMatchesCached) {
