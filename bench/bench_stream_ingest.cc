@@ -580,19 +580,19 @@ int Run(int argc, char** argv) {
     // Identity under kShed is per *surviving* slot (the merge is a
     // documented subset once pipelines are shed); under kBlock nothing
     // sheds and this is exactly full-corpus fingerprint identity.
-    const auto surviving_slots_identical =
-        [&](const stream::ShardedResult& r) {
-          for (const stream::ShardPipelineResult& p : r.pipelines) {
-            if (p.shed) continue;
-            const core::SegmentedPipeline& ref = segmented.pipelines[p.slot];
-            if (stream::FingerprintGraphlets(p.result.graphlets) !=
-                    stream::FingerprintGraphlets(ref.graphlets) ||
-                p.quarantined_graphlets != ref.quarantined_graphlets) {
-              return false;
-            }
-          }
-          return true;
-        };
+    const auto identical_to_batch = [&](const stream::ShardedResult& r) {
+      for (const stream::ShardPipelineResult& p : r.pipelines) {
+        if (p.shed) continue;
+        const core::SegmentedPipeline& ref = segmented.pipelines[p.slot];
+        if (stream::FingerprintGraphlets(p.result.graphlets) !=
+                stream::FingerprintGraphlets(ref.graphlets) ||
+            p.quarantined_graphlets != ref.quarantined_graphlets) {
+          return false;
+        }
+      }
+      return r.shed_pipelines > 0 ||
+             FingerprintSegmented(r.ToSegmentedCorpus()) == batch_print;
+    };
     double one_shard_rate = 0.0, top_rate = 0.0;
     uint64_t top_stalls = 0;
     size_t top_queue_peak = 0;
@@ -623,10 +623,7 @@ int Run(int argc, char** argv) {
                      first_error.ToString().c_str());
         return 1;
       }
-      const bool merged_identical =
-          surviving_slots_identical(*result) &&
-          (result->shed_pipelines > 0 ||
-           FingerprintSegmented(result->ToSegmentedCorpus()) == batch_print);
+      const bool merged_identical = identical_to_batch(*result);
       sharded_identical = sharded_identical && merged_identical;
       const double rate =
           seconds > 0.0 ? static_cast<double>(result->records) / seconds
@@ -695,23 +692,17 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "error: sharded binary ingest failed\n");
         return 1;
       }
-      const bool binary_identical =
-          FingerprintSegmented(result->ToSegmentedCorpus()) == batch_print;
+      // Blobs shed like traces: a full queue drops the whole blob.
+      const bool binary_identical = identical_to_batch(*result);
       sharded_identical = sharded_identical && binary_identical;
-      // Blobs are routed whole and decoded inside the owning shard, so
-      // the record count lives in the slots, not the router tally.
-      uint64_t binary_records = 0;
-      for (const stream::ShardPipelineResult& p : result->pipelines) {
-        binary_records += p.records;
-      }
       const double rate =
-          seconds > 0.0 ? static_cast<double>(binary_records) / seconds
+          seconds > 0.0 ? static_cast<double>(result->records) / seconds
                         : 0.0;
       std::printf(
           "sharded binary ingest (%zu shards): %llu records in %.3fs "
-          "(%.0f records/s) %s\n\n",
-          max_shards, static_cast<unsigned long long>(binary_records),
-          seconds, rate,
+          "(%.0f records/s, %zu shed) %s\n\n",
+          max_shards, static_cast<unsigned long long>(result->records),
+          seconds, rate, result->shed_pipelines,
           binary_identical ? "IDENTICAL" : "MISMATCH — BUG");
       ctx.report.Set("sharded.binary_records_per_sec", rate);
       ctx.report.Set("sharded.binary_identical", binary_identical);

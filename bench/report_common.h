@@ -110,7 +110,7 @@ struct Options {
   /// "Sharded provenance service"):
   ///   --shards=N                arm the sharded phase and sweep shard
   ///                             counts up to N (0 = off)
-  ///   --shard_queue_capacity=N  per-shard SPSC queue bound, in records
+  ///   --shard_queue_capacity=N  per-shard SPSC queue bound, in pipelines
   ///   --backpressure=P          block (lossless) | shed
   int shards = 0;
   int64_t shard_queue_capacity = 1024;

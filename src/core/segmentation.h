@@ -9,6 +9,7 @@
 /// recorded by the simulator's memoization cache) segment exactly like
 /// their uncached counterparts — trace structure is cache-invariant.
 
+#include <iterator>
 #include <vector>
 
 #include "core/graphlet.h"
@@ -20,9 +21,13 @@ namespace mlprov::core {
 struct SegmentationOptions {
   /// Descendant traversal stops at (and excludes) these execution types —
   /// the `sc` predicate of Appendix A: "either Transform or Trainer".
-  std::vector<metadata::ExecutionType> descendant_stop = {
-      metadata::ExecutionType::kTransform,
-      metadata::ExecutionType::kTrainer};
+  /// Copied from a static array rather than an initializer list, whose
+  /// temporary backing array GCC 12 at -O3 reports as maybe-uninitialized
+  /// wherever several options structs are built in one function.
+  static constexpr metadata::ExecutionType kDefaultDescendantStop[] = {
+      metadata::ExecutionType::kTransform, metadata::ExecutionType::kTrainer};
+  std::vector<metadata::ExecutionType> descendant_stop{
+      std::begin(kDefaultDescendantStop), std::end(kDefaultDescendantStop)};
   /// Ancestor traversal does not expand through other Trainer executions:
   /// per Figure 8, a warm-start edge is a cut between graphlets (the
   /// upstream model artifact is included, its producing trainer is not).

@@ -20,7 +20,9 @@ SpanStatsGenerator::SpanStatsGenerator(const SchemaConfig& config,
   names_.resize(latents_.size());
   for (size_t i = 0; i < latents_.size(); ++i) {
     LatentFeature& f = latents_[i];
-    names_[i] = "f" + std::to_string(i);
+    // A char prefix: GCC 12 at -O3 reports a false -Wrestrict overlap
+    // for the const char* + std::string overload.
+    names_[i] = 'f' + std::to_string(i);
     if (rng_.Bernoulli(config_.categorical_fraction)) {
       f.kind = FeatureKind::kCategorical;
       f.zipf_s = rng_.Uniform(1.05, 1.6);

@@ -59,9 +59,11 @@ void LogisticRegression::Fit(const Dataset& data,
     w_neg = n / (2.0 * static_cast<double>(rows.size() - positives));
   }
 
+  // The row buffer comes first: allocated after the d + 1 step buffers,
+  // GCC 12 at -O3 reports its size as possibly above the object limit.
+  std::vector<double> x(d);
   std::vector<double> velocity(d + 1, 0.0);
   std::vector<double> gradient(d + 1, 0.0);
-  std::vector<double> x(d);
   for (int it = 0; it < options_.max_iterations; ++it) {
     std::fill(gradient.begin(), gradient.end(), 0.0);
     double weight_total = 0.0;

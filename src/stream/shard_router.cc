@@ -24,35 +24,34 @@ namespace {
 /// (each shard is a pool thread) while catching typo'd flag values.
 constexpr size_t kMaxShards = 256;
 
-/// One element of a shard queue. kBegin opens a pipeline on its shard
-/// (carrying either the trace to validate or the binary blob to
-/// decode), kRecord streams one provenance record, kEnd closes the
-/// pipeline and settles its result slot. The producer walks pipelines
-/// sequentially, so each shard sees at most one open pipeline at a
-/// time (its queue is a concatenation of whole-pipeline runs).
+/// One element of a shard queue: a whole pipeline, the unit of routing.
+/// The trace or blob stays borrowed from the caller, which outlives the
+/// run, so an envelope is a handle of a few words and no record crosses
+/// a thread. Exactly one of trace/binary is set.
 struct Envelope {
-  enum class Kind : uint8_t { kBegin, kRecord, kEnd };
-  Kind kind = Kind::kRecord;
   uint32_t slot = 0;
   int64_t pipeline_id = 0;
-  /// kBegin, trace path (borrowed from the corpus, which outlives the
-  /// run).
   const sim::PipelineTrace* trace = nullptr;
-  /// kBegin, binary path (borrowed from the IngestBinary argument).
   const ShardedProvenanceService::BinaryPipeline* binary = nullptr;
-  /// kEnd: records of this pipeline were shed on a full queue.
-  bool shed = false;
-  sim::ProvenanceRecord record;
-  /// Owned copy of the record's span statistics: the feed only
-  /// guarantees the borrowed pointer for the duration of the sink call,
-  /// which ends long before the consumer pops (same shape as WalEntry).
-  std::optional<dataspan::SpanStats> span_stats;
 };
 
-/// Spin -> yield -> sleep wait ladder shared by the blocked producer
-/// and the idle consumers. The sleep tier matters on machines with
-/// fewer cores than shards (this container is single-core): a pure
-/// spin would starve the thread that could make progress.
+/// Every record of a pipeline's feed: ProvenanceFeeder::Finish emits
+/// each context, node and event of a trace exactly once, and an MLPB
+/// header declares the same totals (a blob that does not open has none).
+uint64_t FeedRecords(const Envelope& env) {
+  if (env.trace != nullptr) {
+    const metadata::MetadataStore& store = env.trace->store;
+    return store.num_contexts() + store.num_executions() +
+           store.num_artifacts() + store.num_events();
+  }
+  const auto cursor = metadata::BinaryStoreCursor::Open(env.binary->data);
+  return cursor.ok() ? cursor->num_records() : 0;
+}
+
+/// Spin -> yield -> sleep wait ladder shared by the blocked router and
+/// the idle workers. The sleep tier matters on machines with fewer
+/// cores than shards: a pure spin would starve the thread that could
+/// make progress.
 class Backoff {
  public:
   void Pause() {
@@ -70,10 +69,9 @@ class Backoff {
   unsigned spins_ = 0;
 };
 
-/// Router-side tallies, flushed into the registry at pipeline
-/// boundaries ("shard.*" instruments, PR 6 plane).
+/// Router-side tallies, flushed into the registry after every routed
+/// pipeline ("shard.*" instruments).
 struct RouterStats {
-  uint64_t routed = 0;
   uint64_t stalls = 0;
   uint64_t shed_records = 0;
   size_t shed_pipelines = 0;
@@ -90,36 +88,106 @@ SessionOptions MakeSessionOptions(const ShardRouterOptions& options,
   return session;
 }
 
-/// One unit of routable work: exactly one of trace/binary is set.
-struct WorkItem {
-  int64_t pipeline_id = 0;
-  const sim::PipelineTrace* trace = nullptr;
-  const ShardedProvenanceService::BinaryPipeline* binary = nullptr;
+/// One pipeline's plain or durable session, alive for one
+/// ShardWorker::Ingest call. It is the feed's sink, so the feeder calls
+/// it on the owning worker's thread and a record's borrowed span stats
+/// stay valid for the whole Ingest call. The first failure is sticky:
+/// the rest of the feed is ignored and Finish returns it.
+class PipelineSession : public sim::ProvenanceSink {
+ public:
+  PipelineSession(const ShardRouterOptions& options, size_t shard,
+                  int64_t pipeline_id) {
+    const SessionOptions session =
+        MakeSessionOptions(options, shard, pipeline_id);
+    if (options.wal_dir.empty()) {
+      session_ = std::make_unique<ProvenanceSession>(session);
+      return;
+    }
+    DurableOptions durable;
+    durable.wal.dir = options.wal_dir + "/shard" + std::to_string(shard) +
+                      "/p" + std::to_string(pipeline_id);
+    durable.wal.sync = options.wal_sync;
+    durable.checkpoint_interval = options.checkpoint_interval;
+    durable.session = session;
+    auto opened = DurableSession::Open(durable);
+    if (!opened.ok()) {
+      status_ = opened.status();
+      return;
+    }
+    durable_.emplace(std::move(*opened));
+    skip_ = durable_->records();
+  }
+
+  /// The trace path. A recovered durable session already applied the
+  /// first `skip_` records from its WAL and checkpoint, so they are
+  /// acknowledged without re-ingest (the supervisor's re-feed contract).
+  void OnRecord(const sim::ProvenanceRecord& record) override {
+    if (!status_.ok()) return;
+    if (skip_ > 0) {
+      --skip_;
+      ++ingested_;
+      return;
+    }
+    Apply(durable_.has_value() ? durable_->Ingest(record)
+                               : session_->Ingest(record));
+  }
+
+  /// The binary path, never durable (IngestBinary rejects a wal_dir).
+  void OnRecord(const metadata::RecordRef& record) {
+    if (status_.ok()) Apply(session_->Ingest(record));
+  }
+
+  const common::Status& status() const { return status_; }
+  /// Records applied or acknowledged before the first failure.
+  uint64_t ingested() const { return ingested_; }
+
+  common::StatusOr<SessionResult> Finish() {
+    if (!status_.ok()) return status_;
+    return durable_.has_value() ? durable_->Finish() : session_->Finish();
+  }
+
+ private:
+  void Apply(common::Status status) {
+    if (status.ok()) {
+      ++ingested_;
+    } else {
+      status_ = std::move(status);
+    }
+  }
+
+  /// unique_ptr: the segmenter/featurizer observe the session's store by
+  /// pointer, so the session must never move.
+  std::unique_ptr<ProvenanceSession> session_;
+  std::optional<DurableSession> durable_;
+  uint64_t skip_ = 0;
+  uint64_t ingested_ = 0;
+  common::Status status_;
 };
 
-/// The per-shard consumer: owns the sessions of every pipeline routed
-/// to its shard (one at a time — see Envelope) and settles their result
-/// slots. Handle() is the single ingestion path for both the concurrent
-/// drain and the sequential fallback, so the two schedules cannot
-/// diverge behaviorally.
+/// The per-shard consumer: ingests each pipeline routed to its shard and
+/// settles its result slot. Ingest() is the single ingestion path of the
+/// concurrent drain and the sequential schedule alike, so the two
+/// schedules cannot diverge behaviorally.
 class ShardWorker {
  public:
   ShardWorker(const ShardRouterOptions& options, size_t shard,
               std::vector<ShardPipelineResult>* slots)
       : options_(options), shard_(shard), slots_(slots) {}
 
-  void Handle(Envelope& env) {
-    switch (env.kind) {
-      case Envelope::Kind::kBegin:
-        Begin(env);
-        return;
-      case Envelope::Kind::kRecord:
-        Record(env);
-        return;
-      case Envelope::Kind::kEnd:
-        End(env);
-        return;
+  /// Validates, opens, feeds, finishes and settles one pipeline's slot.
+  void Ingest(const Envelope& env) {
+    ShardPipelineResult& out = (*slots_)[env.slot];
+    out.slot = env.slot;
+    out.pipeline_id = env.pipeline_id;
+    out.shard = shard_;
+    const uint64_t before = records_;
+    if (env.trace != nullptr) {
+      records_ += FeedRecords(env);
+      IngestTrace(*env.trace, out);
+    } else {
+      IngestBinary(*env.binary, out);
     }
+    MLPROV_COUNTER_ADD("shard.records", records_ - before);
   }
 
   /// Concurrent-mode loop: pop until the queue is both closed and
@@ -132,182 +200,86 @@ class ShardWorker {
     for (;;) {
       if (queue.TryPop(env)) {
         backoff.Reset();
-        Handle(env);
+        Ingest(env);
         continue;
       }
       if (queue.closed()) {
-        while (queue.TryPop(env)) Handle(env);
+        while (queue.TryPop(env)) Ingest(env);
         return;
       }
       backoff.Pause();
     }
   }
 
+  /// Every record the feeds of this worker's pipelines yielded.
+  uint64_t records() const { return records_; }
+
  private:
-  struct Active {
-    uint32_t slot = 0;
-    int64_t pipeline_id = 0;
-    const sim::PipelineTrace* trace = nullptr;
-    /// unique_ptr: the segmenter/featurizer observe the session's store
-    /// by pointer, so the session must never move.
-    std::unique_ptr<ProvenanceSession> session;
-    std::optional<DurableSession> durable;
-    /// Durable recovery: records already applied by WAL/checkpoint
-    /// replay; the feed's first `skip` records are acknowledged without
-    /// re-ingesting (the supervisor's re-feed contract).
-    uint64_t skip = 0;
-    uint64_t ingested = 0;
-    size_t truncated = 0;
-    size_t quarantined_graphlets = 0;
-    bool quarantined = false;
-    bool failed = false;
-    common::Status status;
-  };
-
-  void Begin(Envelope& env) {
-    Active a;
-    a.slot = env.slot;
-    a.pipeline_id = env.pipeline_id;
-    a.trace = env.trace;
-    if (env.trace != nullptr) {
-      // Mirror core::SegmentCorpus exactly: validate first, quarantine
-      // wholesale when the trace cannot be trusted, remember the
-      // truncation count for the post-Finish drop.
-      const metadata::ValidationReport report =
-          validator_.Validate(env.trace->store);
-      if (report.NeedsQuarantine()) {
-        a.quarantined = true;
-        a.quarantined_graphlets =
-            core::QuarantineTrace(env.trace->store, report, a.slot);
-      } else {
-        a.truncated = report.truncated_graphlets;
-        OpenSession(a);
-      }
-    } else {
-      OpenSession(a);
-      if (!a.failed) IngestBinary(a, *env.binary);
-    }
-    active_ = std::move(a);
-  }
-
-  void OpenSession(Active& a) {
-    const SessionOptions session =
-        MakeSessionOptions(options_, shard_, a.pipeline_id);
-    if (options_.wal_dir.empty()) {
-      a.session = std::make_unique<ProvenanceSession>(session);
+  void IngestTrace(const sim::PipelineTrace& trace,
+                   ShardPipelineResult& out) {
+    // Mirror core::SegmentCorpus exactly: validate first, quarantine
+    // wholesale when the trace cannot be trusted, drop truncated
+    // graphlets after Finish.
+    const metadata::ValidationReport report = validator_.Validate(trace.store);
+    if (report.NeedsQuarantine()) {
+      out.quarantined = true;
+      out.quarantined_graphlets =
+          core::QuarantineTrace(trace.store, report, out.slot);
       return;
     }
-    DurableOptions durable;
-    durable.wal.dir = options_.wal_dir + "/shard" + std::to_string(shard_) +
-                      "/p" + std::to_string(a.pipeline_id);
-    durable.wal.sync = options_.wal_sync;
-    durable.checkpoint_interval = options_.checkpoint_interval;
-    durable.session = session;
-    auto opened = DurableSession::Open(durable);
-    if (!opened.ok()) {
-      a.failed = true;
-      a.status = opened.status();
-      return;
+    PipelineSession session(options_, shard_, out.pipeline_id);
+    if (session.status().ok()) {
+      sim::ProvenanceFeeder feeder(&session);
+      feeder.Finish(trace);
     }
-    a.durable.emplace(std::move(*opened));
-    a.skip = a.durable->records();
+    Settle(session, out);
+    if (!out.status.ok()) {
+      // SegmentCorpus's fallback: a validated trace that still violates
+      // the feed contract segments through the direct batch path
+      // (byte-identical by the session identity guarantee).
+      out.result = SessionResult{};
+      out.result.graphlets = core::SegmentTrace(
+          trace.store, options_.session.segmenter.segmentation);
+    }
+    if (report.truncated_graphlets > 0) {
+      out.quarantined_graphlets =
+          core::DropTruncatedGraphlets(trace.store, out.result.graphlets);
+    }
   }
 
-  void IngestBinary(Active& a, const ShardedProvenanceService::BinaryPipeline&
-                                    pipeline) {
+  void IngestBinary(const ShardedProvenanceService::BinaryPipeline& pipeline,
+                    ShardPipelineResult& out) {
     // The whole blob was routed here so the zero-copy cursor walk stays
-    // on one thread: RecordRef views borrow cursor-internal scratch
-    // that the next record overwrites, and must never cross the queue.
+    // on one thread: RecordRef views borrow cursor-internal scratch that
+    // the next record overwrites.
     auto cursor = metadata::BinaryStoreCursor::Open(pipeline.data);
     if (!cursor.ok()) {
-      a.failed = true;
-      a.status = cursor.status();
+      out.status = cursor.status();
       return;
     }
+    PipelineSession session(options_, shard_, out.pipeline_id);
+    // Walked to the end even after the session fails, so `records_`
+    // counts the whole blob, as the trace path counts the whole feed.
     metadata::RecordRef record;
     while (cursor->Next(&record)) {
-      const common::Status status = a.session->Ingest(record);
-      if (!status.ok()) {
-        a.failed = true;
-        a.status = status;
-        return;
-      }
-      ++a.ingested;
+      ++records_;
+      session.OnRecord(record);
     }
-    if (!cursor->status().ok()) {
-      a.failed = true;
-      a.status = cursor->status();
+    if (session.status().ok() && !cursor->status().ok()) {
+      out.records = session.ingested();
+      out.status = cursor->status();
+      return;
     }
+    Settle(session, out);
   }
 
-  void Record(Envelope& env) {
-    if (!active_.has_value()) return;
-    Active& a = *active_;
-    if (a.quarantined || a.failed) return;
-    if (a.skip > 0) {
-      --a.skip;
-      ++a.ingested;
-      return;
-    }
-    env.record.span_stats =
-        env.span_stats.has_value() ? &*env.span_stats : nullptr;
-    const common::Status status = a.durable.has_value()
-                                      ? a.durable->Ingest(env.record)
-                                      : a.session->Ingest(env.record);
-    if (!status.ok()) {
-      a.failed = true;
-      a.status = status;
-      return;
-    }
-    ++a.ingested;
-  }
-
-  void End(Envelope& env) {
-    if (!active_.has_value()) return;
-    Active a = std::move(*active_);
-    active_.reset();
-    ShardPipelineResult& out = (*slots_)[a.slot];
-    out.slot = a.slot;
-    out.pipeline_id = a.pipeline_id;
-    out.shard = shard_;
-    out.records = a.ingested;
-    if (env.shed) {
-      // The router abandoned the rest of this pipeline on a full
-      // queue: a half-fed session is not finishable, so the slot is
-      // marked and excluded from the merge (exact accounting, lossy by
-      // policy).
-      out.shed = true;
-      return;
-    }
-    if (a.quarantined) {
-      out.quarantined = true;
-      out.quarantined_graphlets = a.quarantined_graphlets;
-      return;
-    }
-    if (!a.failed) {
-      auto finished =
-          a.durable.has_value() ? a.durable->Finish() : a.session->Finish();
-      if (finished.ok()) {
-        out.result = std::move(*finished);
-      } else {
-        a.failed = true;
-        a.status = finished.status();
-      }
-    }
-    if (a.failed) {
-      out.status = a.status;
-      if (a.trace != nullptr) {
-        // SegmentCorpus's fallback: a validated trace that still
-        // violates the feed contract segments through the direct batch
-        // path (byte-identical by the session identity guarantee).
-        out.result = SessionResult{};
-        out.result.graphlets = core::SegmentTrace(
-            a.trace->store, options_.session.segmenter.segmentation);
-      }
-    }
-    if (a.trace != nullptr && a.truncated > 0) {
-      out.quarantined_graphlets = core::DropTruncatedGraphlets(
-          a.trace->store, out.result.graphlets);
+  static void Settle(PipelineSession& session, ShardPipelineResult& out) {
+    out.records = session.ingested();
+    auto finished = session.Finish();
+    if (finished.ok()) {
+      out.result = std::move(*finished);
+    } else {
+      out.status = finished.status();
     }
   }
 
@@ -315,71 +287,12 @@ class ShardWorker {
   const size_t shard_;
   std::vector<ShardPipelineResult>* slots_;
   const metadata::TraceValidator validator_;
-  std::optional<Active> active_;
+  uint64_t records_ = 0;
 };
 
-/// Router-side sink: copies each fed record into the owning shard's
-/// queue, applying the backpressure policy. Control envelopes
-/// (kBegin/kEnd) never go through here — they always block, because
-/// dropping them would desynchronize the shard's pipeline framing.
-class QueueSink : public sim::ProvenanceSink {
- public:
-  QueueSink(common::SpscQueue<Envelope>& queue, uint32_t slot,
-            BackpressurePolicy policy, RouterStats& stats)
-      : queue_(queue), slot_(slot), policy_(policy), stats_(stats) {}
-
-  void OnRecord(const sim::ProvenanceRecord& record) override {
-    if (shedding_) {
-      ++stats_.shed_records;
-      return;
-    }
-    Envelope env;
-    env.kind = Envelope::Kind::kRecord;
-    env.slot = slot_;
-    env.record = record;
-    if (record.span_stats != nullptr) {
-      env.span_stats = *record.span_stats;
-      env.record.span_stats = nullptr;
-    }
-    if (queue_.TryPush(env)) {
-      ++stats_.routed;
-      stats_.queue_peak = std::max(stats_.queue_peak, queue_.size());
-      return;
-    }
-    if (policy_ == BackpressurePolicy::kShed) {
-      shedding_ = true;
-      ++stats_.shed_records;
-      return;
-    }
-    ++stats_.stalls;  // one episode, however long the wait
-    Backoff backoff;
-    while (!queue_.TryPush(env)) backoff.Pause();
-    ++stats_.routed;
-  }
-
-  bool shedding() const { return shedding_; }
-
- private:
-  common::SpscQueue<Envelope>& queue_;
-  const uint32_t slot_;
-  const BackpressurePolicy policy_;
-  RouterStats& stats_;
-  bool shedding_ = false;
-};
-
-/// Blocking push for control envelopes.
-void PushControl(common::SpscQueue<Envelope>& queue, Envelope& env,
-                 RouterStats& stats) {
-  if (queue.TryPush(env)) return;
-  ++stats.stalls;
-  Backoff backoff;
-  while (!queue.TryPush(env)) backoff.Pause();
-}
-
-/// Registry flush (PR 6 plane): cheap enough to run at every pipeline
-/// boundary so `obs_top` sees the run move, not just its final totals.
+/// Registry flush: cheap enough to run after every routed pipeline so
+/// `obs_top` sees the run move, not just its final totals.
 void FlushStats(const RouterStats& stats, RouterStats& flushed) {
-  MLPROV_COUNTER_ADD("shard.records", stats.routed - flushed.routed);
   MLPROV_COUNTER_ADD("shard.backpressure_stalls",
                      stats.stalls - flushed.stalls);
   MLPROV_COUNTER_ADD("shard.shed_records",
@@ -403,16 +316,14 @@ common::Status ValidateOptions(const ShardRouterOptions& options) {
   return common::Status::Ok();
 }
 
-/// Walks the work items in submission order and feeds each pipeline's
-/// whole envelope run (kBegin, records, kEnd) to its shard — through
-/// the bounded queues on the concurrent schedule, or synchronously on
-/// the sequential fallback. The two schedules share every envelope and
-/// every worker code path.
+/// Hands the envelopes, in submission order, to their shards' workers:
+/// through the bounded queues on the concurrent schedule, or by direct
+/// call on the sequential one. Both end in ShardWorker::Ingest.
 class Router {
  public:
   Router(const ShardRouterOptions& options,
          std::vector<ShardPipelineResult>* slots)
-      : options_(options), worker_errors_(options.shards) {
+      : options_(options), slots_(slots), worker_errors_(options.shards) {
     workers_.reserve(options.shards);
     for (size_t shard = 0; shard < options.shards; ++shard) {
       workers_.emplace_back(options, shard, slots);
@@ -424,7 +335,7 @@ class Router {
   /// pigeonhole guarantees every index its own thread and the bounded
   /// queues cannot deadlock (the router is index 0, claimed by the
   /// first fetch_add, so it always runs).
-  void RunConcurrent(const std::vector<WorkItem>& items,
+  void RunConcurrent(const std::vector<Envelope>& items,
                      RouterStats& stats) {
     std::vector<std::unique_ptr<common::SpscQueue<Envelope>>> queues;
     queues.reserve(options_.shards);
@@ -439,7 +350,7 @@ class Router {
         [&](size_t index) {
           if (index == 0) {
             // Close every queue no matter how the router exits:
-            // consumers must always observe end-of-stream.
+            // workers must always observe end-of-stream.
             try {
               RouteAll(items, queues, stats);
             } catch (...) {
@@ -474,97 +385,70 @@ class Router {
 
   /// Sequential schedule (used when already inside a ParallelFor body,
   /// where pool loops run inline and a bounded queue would deadlock):
-  /// the same envelopes, handled synchronously by the same workers.
+  /// the same envelopes, ingested synchronously by the same workers.
   /// Identical results by the merge-determinism property; never stalls
   /// or sheds.
-  void RunSequential(const std::vector<WorkItem>& items,
+  void RunSequential(const std::vector<Envelope>& items,
                      RouterStats& stats) {
-    for (size_t slot = 0; slot < items.size(); ++slot) {
-      const WorkItem& item = items[slot];
-      const size_t shard = ShardOf(item.pipeline_id, options_.shards);
-      ShardWorker& worker = workers_[shard];
-      Envelope begin = MakeControl(Envelope::Kind::kBegin, slot, item);
-      worker.Handle(begin);
-      if (item.trace != nullptr) {
-        DirectSink sink(worker, static_cast<uint32_t>(slot), stats);
-        sim::ProvenanceFeeder feeder(&sink);
-        feeder.Finish(*item.trace);
-      }
-      Envelope end = MakeControl(Envelope::Kind::kEnd, slot, item);
-      worker.Handle(end);
+    for (const Envelope& env : items) {
+      workers_[ShardOf(env.pipeline_id, options_.shards)].Ingest(env);
       FlushStats(stats, flushed_);
     }
+  }
+
+  /// Every record the feeds of the pipelines that were not shed yielded.
+  uint64_t records() const {
+    uint64_t total = 0;
+    for (const ShardWorker& worker : workers_) total += worker.records();
+    return total;
   }
 
  private:
-  class DirectSink : public sim::ProvenanceSink {
-   public:
-    DirectSink(ShardWorker& worker, uint32_t slot, RouterStats& stats)
-        : worker_(worker), slot_(slot), stats_(stats) {}
-    void OnRecord(const sim::ProvenanceRecord& record) override {
-      Envelope env;
-      env.kind = Envelope::Kind::kRecord;
-      env.slot = slot_;
-      env.record = record;
-      if (record.span_stats != nullptr) {
-        env.span_stats = *record.span_stats;
-        env.record.span_stats = nullptr;
-      }
-      ++stats_.routed;
-      worker_.Handle(env);
-    }
-
-   private:
-    ShardWorker& worker_;
-    const uint32_t slot_;
-    RouterStats& stats_;
-  };
-
-  static Envelope MakeControl(Envelope::Kind kind, size_t slot,
-                              const WorkItem& item, bool shed = false) {
-    Envelope env;
-    env.kind = kind;
-    env.slot = static_cast<uint32_t>(slot);
-    env.pipeline_id = item.pipeline_id;
-    env.trace = item.trace;
-    env.binary = item.binary;
-    env.shed = shed;
-    return env;
-  }
-
   void RouteAll(
-      const std::vector<WorkItem>& items,
+      const std::vector<Envelope>& items,
       std::vector<std::unique_ptr<common::SpscQueue<Envelope>>>& queues,
       RouterStats& stats) {
-    for (size_t slot = 0; slot < items.size(); ++slot) {
-      const WorkItem& item = items[slot];
+    for (const Envelope& item : items) {
       const size_t shard = ShardOf(item.pipeline_id, options_.shards);
       common::SpscQueue<Envelope>& queue = *queues[shard];
-      Envelope begin = MakeControl(Envelope::Kind::kBegin, slot, item);
-      PushControl(queue, begin, stats);
-      bool shed = false;
-      if (item.trace != nullptr) {
-        QueueSink sink(queue, static_cast<uint32_t>(slot),
-                       options_.backpressure, stats);
-        sim::ProvenanceFeeder feeder(&sink);
-        feeder.Finish(*item.trace);
-        shed = sink.shedding();
+      Envelope env = item;
+      if (!queue.TryPush(env)) {
+        if (options_.backpressure == BackpressurePolicy::kShed) {
+          Shed(env, shard, stats);
+          FlushStats(stats, flushed_);
+          continue;
+        }
+        ++stats.stalls;  // one episode, however long the wait
+        Backoff backoff;
+        while (!queue.TryPush(env)) backoff.Pause();
       }
-      Envelope end = MakeControl(Envelope::Kind::kEnd, slot, item, shed);
-      PushControl(queue, end, stats);
-      if (shed) ++stats.shed_pipelines;
+      stats.queue_peak = std::max(stats.queue_peak, queue.size());
       FlushStats(stats, flushed_);
     }
   }
 
+  /// kShed: the pipeline is dropped whole, before any of its records is
+  /// fed, so no session is ever half fed. The router settles the slot
+  /// itself; it is excluded from the merge.
+  void Shed(const Envelope& env, size_t shard, RouterStats& stats) {
+    ShardPipelineResult& out = (*slots_)[env.slot];
+    out.slot = env.slot;
+    out.pipeline_id = env.pipeline_id;
+    out.shard = shard;
+    out.shed = true;
+    stats.shed_records += FeedRecords(env);
+    ++stats.shed_pipelines;
+  }
+
   const ShardRouterOptions& options_;
+  std::vector<ShardPipelineResult>* slots_;
   std::vector<ShardWorker> workers_;
   std::vector<std::exception_ptr> worker_errors_;
   RouterStats flushed_;
 };
 
 common::StatusOr<ShardedResult> Run(const ShardRouterOptions& options,
-                                    const std::vector<WorkItem>& items) {
+                                    const std::vector<Envelope>& items) {
   const common::Status valid = ValidateOptions(options);
   if (!valid.ok()) return valid;
   ShardedResult result;
@@ -580,7 +464,7 @@ common::StatusOr<ShardedResult> Run(const ShardRouterOptions& options,
   } else {
     router.RunConcurrent(items, stats);
   }
-  result.records = stats.routed;
+  result.records = router.records();
   result.backpressure_stalls = stats.stalls;
   result.shed_records = stats.shed_records;
   result.shed_pipelines = stats.shed_pipelines;
@@ -658,13 +542,11 @@ common::Status ShardedResult::FirstError() const {
 
 common::StatusOr<ShardedResult> ShardedProvenanceService::IngestCorpus(
     const sim::Corpus& corpus) {
-  std::vector<WorkItem> items;
-  items.reserve(corpus.pipelines.size());
-  for (const sim::PipelineTrace& trace : corpus.pipelines) {
-    WorkItem item;
-    item.pipeline_id = trace.config.pipeline_id;
-    item.trace = &trace;
-    items.push_back(item);
+  std::vector<Envelope> items(corpus.pipelines.size());
+  for (size_t slot = 0; slot < items.size(); ++slot) {
+    items[slot].slot = static_cast<uint32_t>(slot);
+    items[slot].pipeline_id = corpus.pipelines[slot].config.pipeline_id;
+    items[slot].trace = &corpus.pipelines[slot];
   }
   return Run(options_, items);
 }
@@ -677,13 +559,11 @@ common::StatusOr<ShardedResult> ShardedProvenanceService::IngestBinary(
         "WAL journals provenance records, and the binary path never "
         "materializes owned records");
   }
-  std::vector<WorkItem> items;
-  items.reserve(pipelines.size());
-  for (const BinaryPipeline& pipeline : pipelines) {
-    WorkItem item;
-    item.pipeline_id = pipeline.pipeline_id;
-    item.binary = &pipeline;
-    items.push_back(item);
+  std::vector<Envelope> items(pipelines.size());
+  for (size_t slot = 0; slot < items.size(); ++slot) {
+    items[slot].slot = static_cast<uint32_t>(slot);
+    items[slot].pipeline_id = pipelines[slot].pipeline_id;
+    items[slot].binary = &pipelines[slot];
   }
   return Run(options_, items);
 }

@@ -4,29 +4,32 @@
 /// Sharded multi-session provenance service: the scale-out layer over
 /// ProvenanceSession. A router hashes each pipeline's id (FNV-1a —
 /// stable across runs, processes, and shard-count changes modulo the
-/// shard count itself) onto N shard workers; each worker owns the
-/// sessions of the pipelines routed to it and drains a bounded SPSC
-/// queue fed by the router, so N pipelines ingest concurrently on one
-/// ThreadPool (common/parallel). A deterministic merge layer reassembles
-/// the corpus-level segmentation, ScoreDecisions, and waste accounting
-/// byte-identical to a single-session replay of every pipeline — at any
-/// shard and thread count. See DESIGN.md "Sharded provenance service"
-/// for the routing invariant, the queue/backpressure semantics, and the
+/// shard count itself) onto N shard workers and hands each pipeline to
+/// its worker as one envelope (slot, id, and the borrowed trace or MLPB
+/// blob) through a bounded SPSC queue. The worker walks that pipeline's
+/// feed itself, straight into the pipeline's session, so N pipelines
+/// ingest concurrently on one ThreadPool (common/parallel). A
+/// deterministic merge layer reassembles the corpus-level segmentation,
+/// ScoreDecisions, and waste accounting byte-identical to a
+/// single-session replay of every pipeline — at any shard and thread
+/// count. See DESIGN.md "Sharded provenance service" for the routing
+/// invariant, the queue/backpressure semantics, and the
 /// merge-determinism argument.
 ///
 /// Sharding unit: the *pipeline*, never the record. The feed-order
 /// contract (simulator/provenance_sink.h) defines a per-pipeline record
 /// order, so one pipeline's feed must land on exactly one session;
-/// hashing pipeline ids gives every record of a pipeline the same shard
-/// without any coordination.
+/// hashing pipeline ids gives every pipeline one shard without any
+/// coordination, and no record ever crosses a thread.
 ///
-/// Backpressure: each shard queue is bounded. kBlock (default) makes
-/// the router wait for space — lossless and deterministic, with stall
-/// episodes counted in "shard.backpressure_stalls". kShed abandons the
-/// *rest of the overloaded pipeline* at the first full queue (a half-fed
-/// session is not finishable, so shedding is pipeline-granular), with
-/// exact accounting; shed slots are excluded from the merge and the
-/// merged output is then a documented subset, not a replica.
+/// Backpressure counts pipelines: each shard queue holds at most
+/// `queue_capacity` routed pipelines. kBlock (default) makes the router
+/// wait for room — lossless and deterministic, with stall episodes
+/// counted in "shard.backpressure_stalls". kShed drops a whole pipeline
+/// whose shard queue is full, before any of its records is fed (a
+/// half-fed session is not finishable), with exact accounting; shed
+/// slots are excluded from the merge and the merged output is then a
+/// documented subset, not a replica.
 
 #include <cstddef>
 #include <cstdint>
@@ -65,7 +68,7 @@ constexpr size_t ShardOf(int64_t pipeline_id, size_t shards) {
 /// What the router does when a shard queue is full (--backpressure=).
 enum class BackpressurePolicy : uint8_t {
   kBlock = 0,  // wait for space: lossless, deterministic
-  kShed = 1,   // abandon the rest of the overloaded pipeline
+  kShed = 1,   // drop the whole pipeline before any record is fed
 };
 
 const char* ToString(BackpressurePolicy policy);
@@ -77,9 +80,10 @@ struct ShardRouterOptions {
   /// service runs on a ThreadPool of shards + 1 threads (workers plus
   /// the router).
   size_t shards = 1;
-  /// Per-shard SPSC queue capacity in records (rounded up to a power of
-  /// two). Small enough to bound memory, large enough that the router
-  /// rarely stalls when shards keep up.
+  /// Per-shard SPSC queue capacity in pipelines (rounded up to a power
+  /// of two): how many routed pipelines may wait for their shard's
+  /// worker before the router blocks or sheds. An envelope is a few
+  /// words, so the default never fills on a corpus of fewer pipelines.
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Per-pipeline session template. `segmenter`/`scorer` apply to every
@@ -109,13 +113,16 @@ struct ShardPipelineResult {
   /// graphlets dropped after segmentation.
   size_t quarantined_graphlets = 0;
   bool quarantined = false;
-  /// kShed only: the pipeline was abandoned on a full queue; `result`
-  /// is empty and the slot is excluded from the merge.
+  /// kShed only: the pipeline was dropped whole on a full queue; `result`
+  /// is empty, `records` is 0, and the slot is excluded from the merge.
   bool shed = false;
+  /// Records the session applied (or, recovering a durable session,
+  /// acknowledged) before its first failure: the whole feed of a healthy
+  /// pipeline, 0 for a quarantined one.
   uint64_t records = 0;
-  /// Not OK when the session poisoned (the slot then carries the
-  /// SegmentTrace fallback, exactly like SegmentCorpus) or a durable
-  /// open/finish failed (the slot is then empty).
+  /// Not OK when the session poisoned, a durable open/finish failed, or
+  /// a blob did not decode. A trace's slot then carries the SegmentTrace
+  /// fallback, exactly like SegmentCorpus; a blob's slot is empty.
   common::Status status;
 };
 
@@ -125,13 +132,17 @@ struct ShardPipelineResult {
 struct ShardedResult {
   std::vector<ShardPipelineResult> pipelines;
   size_t shards = 0;
+  /// Every record of every pipeline that was not shed, on both the trace
+  /// and the binary path (what the feeds and cursors yielded, including
+  /// quarantined and poisoned pipelines).
   uint64_t records = 0;
   /// Router stall episodes (kBlock) over the whole run.
   uint64_t backpressure_stalls = 0;
-  /// kShed casualties.
+  /// kShed casualties: whole pipelines, and every record of their feeds,
+  /// so records + shed_records is the corpus's feed size.
   uint64_t shed_records = 0;
   size_t shed_pipelines = 0;
-  /// Highest queue depth the router observed while pushing.
+  /// Highest queue depth, in pipelines, the router observed after a push.
   size_t queue_depth_peak = 0;
 
   /// Corpus-level segmentation, byte-identical to core::SegmentCorpus
@@ -153,11 +164,12 @@ struct ShardedResult {
 ///   auto result = service.IngestCorpus(corpus);
 ///
 /// IngestCorpus routes every pipeline of the corpus through the shard
-/// fleet and blocks until the merge is complete. IngestBinary does the
-/// same for serialized MLPB pipelines: each blob is routed whole and the
-/// owning shard walks a BinaryStoreCursor over it locally, so the
-/// zero-copy ingest path shards too (cursor views never cross threads —
-/// they borrow cursor-internal scratch that the next record overwrites).
+/// fleet and blocks until the merge is complete; the owning worker runs
+/// a sim::ProvenanceFeeder over each trace into its session. IngestBinary
+/// does the same for serialized MLPB pipelines: the owning worker walks a
+/// BinaryStoreCursor over each blob, so the zero-copy ingest path shards
+/// too (cursor views never cross threads — they borrow cursor-internal
+/// scratch that the next record overwrites).
 ///
 /// Reentrancy: when called from inside a ParallelFor body (the pool
 /// would run the router and its consumers inline, deadlocking a bounded

@@ -132,7 +132,9 @@ TEST_P(SequenceLengthTest, NormalizationBounds) {
   // Symmetric.
   EXPECT_NEAR(s, calc.SequenceSimilarity(b, kb, a, ka), 1e-12);
   // Identical prefix sequences of equal length score 1 (alpha+beta=1).
-  if (n == m) EXPECT_NEAR(s, 1.0, 1e-9);
+  if (n == m) {
+    EXPECT_NEAR(s, 1.0, 1e-9);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

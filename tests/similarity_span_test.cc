@@ -91,7 +91,7 @@ FeatureStats NumericalFeature(const std::string& name, double peak_bin) {
 SpanStats MakeSpan(int num_features, double peak_bin) {
   SpanStats s;
   for (int i = 0; i < num_features; ++i) {
-    s.features.push_back(NumericalFeature("f" + std::to_string(i),
+    s.features.push_back(NumericalFeature('f' + std::to_string(i),
                                           peak_bin));
   }
   return s;

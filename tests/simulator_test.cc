@@ -299,10 +299,18 @@ TEST(SamplePipelineConfigTest, FieldsWithinBounds) {
     EXPECT_GE(c.parallel_trainers, 1);
     EXPECT_LE(c.parallel_trainers, 4);
     // Structural implications.
-    if (c.has_schema_gen) EXPECT_TRUE(c.has_statistics_gen);
-    if (c.has_model_validator) EXPECT_TRUE(c.has_evaluator);
-    if (c.has_infra_validator) EXPECT_TRUE(c.has_model_validator);
-    if (!c.has_transform) EXPECT_TRUE(c.analyzers.empty());
+    if (c.has_schema_gen) {
+      EXPECT_TRUE(c.has_statistics_gen);
+    }
+    if (c.has_model_validator) {
+      EXPECT_TRUE(c.has_evaluator);
+    }
+    if (c.has_infra_validator) {
+      EXPECT_TRUE(c.has_model_validator);
+    }
+    if (!c.has_transform) {
+      EXPECT_TRUE(c.analyzers.empty());
+    }
   }
 }
 

@@ -19,7 +19,9 @@
 #include "core/features.h"
 #include "core/graphlet_analysis.h"
 #include "metadata/binary_serialization.h"
+#include "metadata/trace_validator.h"
 #include "simulator/corpus_generator.h"
+#include "simulator/provenance_sink.h"
 #include "stream/fingerprint.h"
 #include "stream/replay.h"
 #include "stream/shard_router.h"
@@ -104,15 +106,75 @@ sim::CorpusConfig CachedConfig() {
   return config;
 }
 
-/// Every record a full feed of the corpus emits (the feeder's Finish
-/// walk covers every node, context, and event exactly once).
+/// Every record a full feed of the trace emits (the feeder's Finish walk
+/// covers every node, context, and event exactly once).
+uint64_t FeedRecords(const sim::PipelineTrace& trace) {
+  return trace.store.num_contexts() + trace.store.num_executions() +
+         trace.store.num_artifacts() + trace.store.num_events();
+}
+
 uint64_t TotalFeedRecords(const sim::Corpus& corpus) {
   uint64_t total = 0;
   for (const sim::PipelineTrace& trace : corpus.pipelines) {
-    total += trace.store.num_contexts() + trace.store.num_executions() +
-             trace.store.num_artifacts() + trace.store.num_events();
+    total += FeedRecords(trace);
   }
   return total;
+}
+
+/// Counts the records a session takes before its first failure.
+class CountingSink : public sim::ProvenanceSink {
+ public:
+  void OnRecord(const sim::ProvenanceRecord& record) override {
+    if (failed_) return;
+    if (session_.Ingest(record).ok()) {
+      ++ingested_;
+    } else {
+      failed_ = true;
+    }
+  }
+  uint64_t ingested() const { return ingested_; }
+
+ private:
+  ProvenanceSession session_;
+  uint64_t ingested_ = 0;
+  bool failed_ = false;
+};
+
+/// What a slot's `records` must hold, computed without the router: 0 for
+/// a quarantined trace, else the records one session takes before it
+/// poisons (the whole feed of a healthy pipeline).
+std::vector<uint64_t> ExpectedSlotRecords(const sim::Corpus& corpus) {
+  const metadata::TraceValidator validator;
+  std::vector<uint64_t> expected;
+  for (const sim::PipelineTrace& trace : corpus.pipelines) {
+    if (validator.Validate(trace.store).NeedsQuarantine()) {
+      expected.push_back(0);
+      continue;
+    }
+    CountingSink sink;
+    sim::ProvenanceFeeder feeder(&sink);
+    feeder.Finish(trace);
+    expected.push_back(sink.ingested());
+  }
+  return expected;
+}
+
+std::vector<std::string> SerializeCorpus(const sim::Corpus& corpus) {
+  std::vector<std::string> blobs;
+  for (const sim::PipelineTrace& trace : corpus.pipelines) {
+    blobs.push_back(metadata::SerializeStoreBinary(trace.store));
+  }
+  return blobs;
+}
+
+/// IngestBinary's input over `blobs`, which must outlive it.
+std::vector<ShardedProvenanceService::BinaryPipeline> BinaryPipelines(
+    const sim::Corpus& corpus, const std::vector<std::string>& blobs) {
+  std::vector<ShardedProvenanceService::BinaryPipeline> pipelines;
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    pipelines.push_back({corpus.pipelines[i].config.pipeline_id, blobs[i]});
+  }
+  return pipelines;
 }
 
 uint64_t FingerprintSegmented(const core::SegmentedCorpus& segmented) {
@@ -141,16 +203,18 @@ class ScopedThreads {
 
 /// The property the whole service is built around: for every shard and
 /// thread count, the merged segmentation fingerprint equals the batch
-/// (single-session replay) fingerprint.
+/// (single-session replay) fingerprint, the run counts every fed record,
+/// and each slot counts what its own session took.
 TEST(ShardMergeTest, ByteIdenticalToBatchAtEveryShardAndThreadCount) {
   for (const sim::CorpusConfig& config :
        {SmallConfig(), FaultyConfig(), CachedConfig()}) {
     const sim::Corpus corpus = sim::GenerateCorpus(config);
     const uint64_t batch =
         FingerprintSegmented(core::SegmentCorpus(corpus));
+    const std::vector<uint64_t> slot_records = ExpectedSlotRecords(corpus);
     for (int threads : {1, 4, 8}) {
       ScopedThreads scoped(threads);
-      for (size_t shards : {1u, 4u, 8u}) {
+      for (size_t shards : {1u, 2u, 4u, 8u}) {
         ShardRouterOptions options;
         options.shards = shards;
         ShardedProvenanceService service(options);
@@ -162,6 +226,12 @@ TEST(ShardMergeTest, ByteIdenticalToBatchAtEveryShardAndThreadCount) {
             << " threads " << threads;
         EXPECT_EQ(result->shed_records, 0u);
         EXPECT_EQ(result->records, TotalFeedRecords(corpus));
+        ASSERT_EQ(result->pipelines.size(), slot_records.size());
+        for (size_t i = 0; i < slot_records.size(); ++i) {
+          EXPECT_EQ(result->pipelines[i].records, slot_records[i])
+              << "corpus seed " << config.seed << " shards " << shards
+              << " slot " << i;
+        }
       }
     }
   }
@@ -247,16 +317,8 @@ TEST(ShardMergeTest, ScoringDecisionsMatchSingleSessionReplay) {
 
 TEST(ShardBinaryTest, BinaryIngestMatchesBatchAcrossShardCounts) {
   const sim::Corpus corpus = sim::GenerateCorpus(SmallConfig());
-  std::vector<std::string> blobs;
-  blobs.reserve(corpus.pipelines.size());
-  for (const sim::PipelineTrace& trace : corpus.pipelines) {
-    blobs.push_back(metadata::SerializeStoreBinary(trace.store));
-  }
-  std::vector<ShardedProvenanceService::BinaryPipeline> pipelines;
-  for (size_t i = 0; i < blobs.size(); ++i) {
-    pipelines.push_back(
-        {corpus.pipelines[i].config.pipeline_id, blobs[i]});
-  }
+  const std::vector<std::string> blobs = SerializeCorpus(corpus);
+  const auto pipelines = BinaryPipelines(corpus, blobs);
   const uint64_t batch = FingerprintSegmented(core::SegmentCorpus(corpus));
   for (size_t shards : {1u, 4u}) {
     ShardRouterOptions options;
@@ -267,21 +329,17 @@ TEST(ShardBinaryTest, BinaryIngestMatchesBatchAcrossShardCounts) {
     EXPECT_TRUE(result->FirstError().ok()) << result->FirstError();
     EXPECT_EQ(FingerprintSegmented(result->ToSegmentedCorpus()), batch)
         << "shards " << shards;
+    // The records the shards' cursors yielded: the same count as the
+    // trace path's.
+    EXPECT_EQ(result->records, TotalFeedRecords(corpus));
   }
 }
 
 TEST(ShardBinaryTest, CorruptBlobFailsItsSlotOnly) {
   const sim::Corpus corpus = sim::GenerateCorpus(SmallConfig());
-  std::vector<std::string> blobs;
-  for (const sim::PipelineTrace& trace : corpus.pipelines) {
-    blobs.push_back(metadata::SerializeStoreBinary(trace.store));
-  }
+  std::vector<std::string> blobs = SerializeCorpus(corpus);
   blobs[3] = "MLPBgarbage";
-  std::vector<ShardedProvenanceService::BinaryPipeline> pipelines;
-  for (size_t i = 0; i < blobs.size(); ++i) {
-    pipelines.push_back(
-        {corpus.pipelines[i].config.pipeline_id, blobs[i]});
-  }
+  const auto pipelines = BinaryPipelines(corpus, blobs);
   ShardRouterOptions options;
   options.shards = 4;
   ShardedProvenanceService service(options);
@@ -289,6 +347,10 @@ TEST(ShardBinaryTest, CorruptBlobFailsItsSlotOnly) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->pipelines[3].status.ok());
   EXPECT_TRUE(result->pipelines[3].result.graphlets.empty());
+  EXPECT_EQ(result->pipelines[3].records, 0u);
+  // A blob that does not open yields no records.
+  EXPECT_EQ(result->records,
+            TotalFeedRecords(corpus) - FeedRecords(corpus.pipelines[3]));
   for (size_t i = 0; i < result->pipelines.size(); ++i) {
     if (i == 3) continue;
     EXPECT_TRUE(result->pipelines[i].status.ok()) << i;
@@ -335,6 +397,21 @@ TEST(ShardDurableTest, DurableShardedRunMatchesInMemoryAndLaysOutDirs) {
                               ("p" + std::to_string(slot.pipeline_id));
     EXPECT_TRUE(fs::exists(expected)) << expected;
   }
+
+  // The same run again over the same wal_dir: every session recovers its
+  // journaled feed, and the worker's walk acknowledges that prefix
+  // instead of re-ingesting it.
+  ShardedProvenanceService rerun(options);
+  auto recovered = rerun.IngestCorpus(corpus);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(recovered->FirstError().ok()) << recovered->FirstError();
+  EXPECT_EQ(FingerprintSegmented(recovered->ToSegmentedCorpus()), batch);
+  EXPECT_EQ(recovered->records, result->records);
+  ASSERT_EQ(recovered->pipelines.size(), result->pipelines.size());
+  for (size_t i = 0; i < result->pipelines.size(); ++i) {
+    EXPECT_EQ(recovered->pipelines[i].records, result->pipelines[i].records)
+        << "slot " << i;
+  }
   fs::remove_all(dir);
 }
 
@@ -346,7 +423,9 @@ TEST(ShardBackpressureTest, TinyQueueBlocksLosslessly) {
   const uint64_t batch = FingerprintSegmented(core::SegmentCorpus(corpus));
   ShardRouterOptions options;
   options.shards = 2;
-  options.queue_capacity = 2;  // every deep pipeline must stall the router
+  // Queues count pipelines: a shard with more than two queued pipelines
+  // stalls the router.
+  options.queue_capacity = 2;
   ShardedProvenanceService service(options);
   auto result = service.IngestCorpus(corpus);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -358,32 +437,43 @@ TEST(ShardBackpressureTest, TinyQueueBlocksLosslessly) {
 
 TEST(ShardBackpressureTest, ShedPolicyAccountsExactly) {
   const sim::Corpus corpus = sim::GenerateCorpus(SmallConfig());
+  const core::SegmentedCorpus segmented = core::SegmentCorpus(corpus);
+  const std::vector<std::string> blobs = SerializeCorpus(corpus);
+  const auto pipelines = BinaryPipelines(corpus, blobs);
   ShardRouterOptions options;
   options.shards = 2;
   options.queue_capacity = 2;
   options.backpressure = BackpressurePolicy::kShed;
   ShardedProvenanceService service(options);
-  auto result = service.IngestCorpus(corpus);
-  ASSERT_TRUE(result.ok()) << result.status();
-  // Whether a pipeline sheds depends on scheduling — the invariants do
-  // not: every fed record is either routed or counted shed, shed slots
-  // are flagged pipelines, and surviving slots match the batch result.
-  EXPECT_EQ(result->records + result->shed_records, TotalFeedRecords(corpus));
-  size_t shed_slots = 0;
-  const core::SegmentedCorpus segmented = core::SegmentCorpus(corpus);
-  for (const ShardPipelineResult& slot : result->pipelines) {
-    if (slot.shed) {
-      ++shed_slots;
-      EXPECT_TRUE(slot.result.graphlets.empty());
-      continue;
+  // Traces and MLPB blobs shed alike: whole pipelines.
+  for (bool binary : {false, true}) {
+    auto result = binary ? service.IngestBinary(pipelines)
+                         : service.IngestCorpus(corpus);
+    ASSERT_TRUE(result.ok()) << result.status();
+    // Whether a pipeline sheds depends on scheduling — the invariants do
+    // not: every record is either fed or counted shed, shed slots are
+    // whole pipelines none of whose records was fed, and surviving slots
+    // match the batch result.
+    EXPECT_EQ(result->records + result->shed_records,
+              TotalFeedRecords(corpus))
+        << "binary " << binary;
+    size_t shed_slots = 0;
+    for (const ShardPipelineResult& slot : result->pipelines) {
+      if (slot.shed) {
+        ++shed_slots;
+        EXPECT_EQ(slot.records, 0u) << "shed slot " << slot.slot;
+        EXPECT_TRUE(slot.result.graphlets.empty());
+        continue;
+      }
+      EXPECT_EQ(
+          FingerprintGraphlets(slot.result.graphlets),
+          FingerprintGraphlets(segmented.pipelines[slot.slot].graphlets))
+          << "surviving slot " << slot.slot << " binary " << binary;
     }
-    EXPECT_EQ(FingerprintGraphlets(slot.result.graphlets),
-              FingerprintGraphlets(segmented.pipelines[slot.slot].graphlets))
-        << "surviving slot " << slot.slot;
-  }
-  EXPECT_EQ(shed_slots, result->shed_pipelines);
-  if (result->shed_records > 0) {
-    EXPECT_GT(shed_slots, 0u);
+    EXPECT_EQ(shed_slots, result->shed_pipelines);
+    if (result->shed_records > 0) {
+      EXPECT_GT(shed_slots, 0u);
+    }
   }
 }
 
