@@ -80,6 +80,8 @@ int Run(int argc, char** argv) {
   double ingest_seconds = 0.0;
   double finish_seconds = 0.0;
   bool identical = true;
+  size_t extractions = 0;
+  size_t cells = 0;
   for (const sim::PipelineTrace& trace : ctx.corpus.pipelines) {
     RecordingSink feed;
     sim::ProvenanceFeeder feeder(&feed);
@@ -117,6 +119,8 @@ int Run(int argc, char** argv) {
                    result.status().ToString().c_str());
       return 1;
     }
+    extractions += session.stats().segmenter.extractions;
+    cells += session.stats().segmenter.cells;
     identical = identical &&
                 stream::FingerprintGraphlets(result->graphlets) ==
                     stream::FingerprintGraphlets(
@@ -133,6 +137,12 @@ int Run(int argc, char** argv) {
       "max %.2fus\n",
       Quantile(latencies_us, 0.5), Quantile(latencies_us, 0.9),
       Quantile(latencies_us, 0.99), Quantile(latencies_us, 1.0));
+  // Unscored and unqueried, a session extracts each cell at its first
+  // seal and again at Finish only if a late event touched it: <= 2.0.
+  const double extractions_per_graphlet =
+      cells > 0 ? static_cast<double>(extractions) / cells : 0.0;
+  std::printf("extractions per graphlet: %.3f (%zu over %zu cells)\n",
+              extractions_per_graphlet, extractions, cells);
   std::printf("streaming == batch segmentation: %s\n\n",
               identical ? "IDENTICAL" : "MISMATCH — BUG");
   ctx.report.Set("stream.records", static_cast<int64_t>(total_records));
@@ -143,6 +153,7 @@ int Run(int argc, char** argv) {
   ctx.report.Set("stream.latency_us.p99", Quantile(latencies_us, 0.99));
   ctx.report.Set("stream.latency_us.max", Quantile(latencies_us, 1.0));
   ctx.report.Set("stream.identical", identical);
+  ctx.report.Set("stream.extractions_per_graphlet", extractions_per_graphlet);
 
   // ---- Phase 2: incremental vs naive recompute-per-trainer. ----
   // The naive baseline rebuilds the graphlet set from scratch (batch

@@ -82,8 +82,7 @@ size_t DropTruncatedGraphlets(const metadata::MetadataStore& store,
   return dropped;
 }
 
-SegmentedCorpus SegmentCorpus(const sim::Corpus& corpus,
-                              const SegmentationOptions& options) {
+SegmentedCorpus SegmentCorpus(const sim::Corpus& corpus) {
   SegmentedCorpus segmented;
   segmented.pipelines.resize(corpus.pipelines.size());
   // Each pipeline segments into its own slot; SegmentTrace owns all its
@@ -107,14 +106,12 @@ SegmentedCorpus SegmentCorpus(const sim::Corpus& corpus,
         // byte-identical to SegmentTrace. Traces that pass validation
         // but still violate the feed contract fall back to the direct
         // batch path (same result by the identity guarantee).
-        stream::SessionOptions session_options;
-        session_options.segmenter.segmentation = options;
-        stream::ProvenanceSession session(session_options);
+        stream::ProvenanceSession session;
         if (stream::ReplayTrace(corpus.pipelines[i], session).ok()) {
           auto result = session.Finish();
           sp.graphlets = std::move(result.value().graphlets);
         } else {
-          sp.graphlets = SegmentTrace(store, options);
+          sp.graphlets = SegmentTrace(store);
         }
         if (report.truncated_graphlets > 0) {
           sp.quarantined_graphlets =

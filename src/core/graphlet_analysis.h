@@ -49,8 +49,7 @@ struct SegmentedCorpus {
 /// quarantined wholesale, truncated graphlets are dropped individually,
 /// and both are tallied in quarantined_graphlets and the
 /// "trace.quarantined" counter. Clean traces segment exactly as before.
-SegmentedCorpus SegmentCorpus(const sim::Corpus& corpus,
-                              const SegmentationOptions& options = {});
+SegmentedCorpus SegmentCorpus(const sim::Corpus& corpus);
 
 /// Quarantine bookkeeping for one untrustworthy trace, shared between
 /// SegmentCorpus and the sharded provenance service so both paths count

@@ -154,7 +154,7 @@ class ProvenanceIndex {
 
 /// Live graphlet-membership source for TraceQuery::GraphletsTouchingSpan.
 /// Implemented by stream::StreamingSegmenter over its membership
-/// indexes; memberships reflect each cell's last extraction.
+/// indexes, which it brings up to date before answering.
 class GraphletMembershipProvider {
  public:
   virtual ~GraphletMembershipProvider() = default;

@@ -1,6 +1,8 @@
 #include "core/segmentation.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "core/datalog.h"
 #include "obs/metrics.h"
@@ -22,17 +24,27 @@ bool IsDataAnalysisType(ExecutionType type) {
          type == ExecutionType::kExampleValidator;
 }
 
-bool IsStopType(ExecutionType type, const SegmentationOptions& options) {
-  for (ExecutionType t : options.descendant_stop) {
-    if (t == type) return true;
-  }
-  return false;
+/// The `sc` predicate of Appendix A: descendant traversal stops at (and
+/// excludes) Transform and Trainer executions.
+bool IsStopType(ExecutionType type) {
+  return type == ExecutionType::kTransform || type == ExecutionType::kTrainer;
 }
 
-/// Builds the Graphlet record from the member node sets.
+/// An Examples artifact's ingestion order key: its span property when it
+/// is an integer, else its creation time.
+int64_t SpanKey(const metadata::Artifact& artifact) {
+  if (auto it = artifact.properties.find("span");
+      it != artifact.properties.end()) {
+    if (const int64_t* v = std::get_if<int64_t>(&it->second)) return *v;
+  }
+  return artifact.create_time;
+}
+
+/// Builds the Graphlet record from its member lists (both ascending);
+/// `exec_is_descendant` is indexed by execution id.
 Graphlet Finalize(const MetadataStore& store, ExecutionId trainer,
-                  const std::vector<char>& exec_in,
-                  const std::vector<char>& artifact_in,
+                  const std::vector<ExecutionId>& executions,
+                  const std::vector<ArtifactId>& artifacts,
                   const std::vector<char>& exec_is_descendant) {
   Graphlet g;
   g.trainer = trainer;
@@ -77,10 +89,9 @@ Graphlet Finalize(const MetadataStore& store, ExecutionId trainer,
     }
   };
 
-  for (size_t id = 1; id < exec_in.size(); ++id) {
-    if (!exec_in[id]) continue;
-    const auto eid = static_cast<ExecutionId>(id);
-    g.executions.push_back(eid);
+  g.executions = executions;
+  for (ExecutionId eid : executions) {
+    const auto id = static_cast<size_t>(eid);
     const metadata::Execution& e = store.executions()[id - 1];
     note_time(e.start_time, e.end_time);
     if (eid == trainer) continue;
@@ -93,39 +104,18 @@ Graphlet Finalize(const MetadataStore& store, ExecutionId trainer,
       g.pre_trainer_cost += e.compute_cost;
     }
   }
-  for (size_t id = 1; id < artifact_in.size(); ++id) {
-    if (!artifact_in[id]) continue;
-    const auto aid = static_cast<ArtifactId>(id);
-    g.artifacts.push_back(aid);
-    const metadata::Artifact& a = store.artifacts()[id - 1];
+  g.artifacts = artifacts;
+  // Order spans by ingestion: span key, with the id as tiebreak.
+  std::vector<std::pair<int64_t, ArtifactId>> spans;
+  for (ArtifactId aid : artifacts) {
+    const metadata::Artifact& a =
+        store.artifacts()[static_cast<size_t>(aid) - 1];
     note_time(a.create_time, a.create_time);
-    if (a.type == ArtifactType::kExamples) {
-      g.input_spans.push_back(aid);
-    }
+    if (a.type == ArtifactType::kExamples) spans.emplace_back(SpanKey(a), aid);
   }
-  // Order spans by ingestion: span property when present, else creation
-  // time, with the id as tiebreak.
-  std::sort(g.input_spans.begin(), g.input_spans.end(),
-            [&](ArtifactId x, ArtifactId y) {
-              const metadata::Artifact& ax =
-                  store.artifacts()[static_cast<size_t>(x) - 1];
-              const metadata::Artifact& ay =
-                  store.artifacts()[static_cast<size_t>(y) - 1];
-              int64_t sx = ax.create_time, sy = ay.create_time;
-              if (auto it = ax.properties.find("span");
-                  it != ax.properties.end()) {
-                if (const int64_t* v = std::get_if<int64_t>(&it->second)) {
-                  sx = *v;
-                }
-              }
-              if (auto it = ay.properties.find("span");
-                  it != ay.properties.end()) {
-                if (const int64_t* v = std::get_if<int64_t>(&it->second)) {
-                  sy = *v;
-                }
-              }
-              return sx != sy ? sx < sy : x < y;
-            });
+  std::sort(spans.begin(), spans.end());
+  g.input_spans.reserve(spans.size());
+  for (const auto& span : spans) g.input_spans.push_back(span.second);
   for (ArtifactId out : store.OutputsOf(trainer)) {
     if (store.artifacts()[static_cast<size_t>(out) - 1].type ==
         ArtifactType::kModel) {
@@ -177,33 +167,28 @@ bool GraphletExtractor::AddArtifact(ArtifactId id) {
 
 Graphlet GraphletExtractor::Extract(const MetadataStore& store,
                                     ExecutionId trainer) {
-  const SegmentationOptions& options = options_;
   EnsureScratch(store);
   AddExec(trainer, /*descendant=*/false);
 
   // Rule (a): ancestor executions, not traversing through other Trainers
   // (Figure 8: the warm-start edge is a cut; the upstream model artifact
   // is included, its producing trainer is not).
-  {
-    std::vector<ExecutionId> frontier = {trainer};
-    while (!frontier.empty()) {
-      const ExecutionId cur = frontier.back();
-      frontier.pop_back();
-      for (ArtifactId input : store.InputsOf(cur)) {
-        AddArtifact(input);
-        for (ExecutionId producer : store.ProducersOf(input)) {
-          const ExecutionType type =
-              store.executions()[static_cast<size_t>(producer) - 1].type;
-          if (options.cut_ancestors_at_trainers &&
-              type == ExecutionType::kTrainer) {
-            continue;
-          }
-          if (AddExec(producer, /*descendant=*/false)) {
-            frontier.push_back(producer);
-            // Ancestors contribute their outputs too.
-            for (ArtifactId out : store.OutputsOf(producer)) {
-              AddArtifact(out);
-            }
+  exec_frontier_.assign(1, trainer);
+  while (!exec_frontier_.empty()) {
+    const ExecutionId cur = exec_frontier_.back();
+    exec_frontier_.pop_back();
+    for (ArtifactId input : store.InputsOf(cur)) {
+      AddArtifact(input);
+      for (ExecutionId producer : store.ProducersOf(input)) {
+        if (store.executions()[static_cast<size_t>(producer) - 1].type ==
+            ExecutionType::kTrainer) {
+          continue;
+        }
+        if (AddExec(producer, /*descendant=*/false)) {
+          exec_frontier_.push_back(producer);
+          // Ancestors contribute their outputs too.
+          for (ArtifactId out : store.OutputsOf(producer)) {
+            AddArtifact(out);
           }
         }
       }
@@ -211,27 +196,23 @@ Graphlet GraphletExtractor::Extract(const MetadataStore& store,
   }
 
   // Rule (c): descendants of the trainer, stopping at `sc` executions.
-  {
-    std::vector<ExecutionId> frontier = {trainer};
-    while (!frontier.empty()) {
-      const ExecutionId cur = frontier.back();
-      frontier.pop_back();
-      for (ArtifactId output : store.OutputsOf(cur)) {
-        AddArtifact(output);
-        for (ExecutionId consumer : store.ConsumersOf(output)) {
-          const ExecutionType type =
-              store.executions()[static_cast<size_t>(consumer) - 1].type;
-          if (type == ExecutionType::kTrainer ||
-              IsStopType(type, options)) {
-            continue;
-          }
-          if (AddExec(consumer, /*descendant=*/true)) {
-            frontier.push_back(consumer);
-            // Descendants contribute their other inputs as artifacts
-            // (e.g. the evaluation read by the model validator).
-            for (ArtifactId in : store.InputsOf(consumer)) {
-              AddArtifact(in);
-            }
+  exec_frontier_.assign(1, trainer);
+  while (!exec_frontier_.empty()) {
+    const ExecutionId cur = exec_frontier_.back();
+    exec_frontier_.pop_back();
+    for (ArtifactId output : store.OutputsOf(cur)) {
+      AddArtifact(output);
+      for (ExecutionId consumer : store.ConsumersOf(output)) {
+        if (IsStopType(
+                store.executions()[static_cast<size_t>(consumer) - 1].type)) {
+          continue;
+        }
+        if (AddExec(consumer, /*descendant=*/true)) {
+          exec_frontier_.push_back(consumer);
+          // Descendants contribute their other inputs as artifacts
+          // (e.g. the evaluation read by the model validator).
+          for (ArtifactId in : store.InputsOf(consumer)) {
+            AddArtifact(in);
           }
         }
       }
@@ -241,35 +222,35 @@ Graphlet GraphletExtractor::Extract(const MetadataStore& store,
   // Rule (b): data-analysis/-validation executions over the graphlet's
   // data spans, chased through their derived artifacts (statistics ->
   // schema/anomalies).
-  {
-    std::vector<ArtifactId> frontier;
-    for (ArtifactId a : touched_artifacts_) {
-      if (store.artifacts()[static_cast<size_t>(a) - 1].type ==
-          ArtifactType::kExamples) {
-        frontier.push_back(a);
-      }
+  artifact_frontier_.clear();
+  for (ArtifactId a : touched_artifacts_) {
+    if (store.artifacts()[static_cast<size_t>(a) - 1].type ==
+        ArtifactType::kExamples) {
+      artifact_frontier_.push_back(a);
     }
-    while (!frontier.empty()) {
-      const ArtifactId cur = frontier.back();
-      frontier.pop_back();
-      for (ExecutionId consumer : store.ConsumersOf(cur)) {
-        const ExecutionType type =
-            store.executions()[static_cast<size_t>(consumer) - 1].type;
-        if (!IsDataAnalysisType(type)) continue;
-        if (AddExec(consumer, /*descendant=*/false)) {
-          for (ArtifactId out : store.OutputsOf(consumer)) {
-            if (AddArtifact(out)) frontier.push_back(out);
-          }
-          for (ArtifactId in : store.InputsOf(consumer)) {
-            AddArtifact(in);
-          }
+  }
+  while (!artifact_frontier_.empty()) {
+    const ArtifactId cur = artifact_frontier_.back();
+    artifact_frontier_.pop_back();
+    for (ExecutionId consumer : store.ConsumersOf(cur)) {
+      const ExecutionType type =
+          store.executions()[static_cast<size_t>(consumer) - 1].type;
+      if (!IsDataAnalysisType(type)) continue;
+      if (AddExec(consumer, /*descendant=*/false)) {
+        for (ArtifactId out : store.OutputsOf(consumer)) {
+          if (AddArtifact(out)) artifact_frontier_.push_back(out);
+        }
+        for (ArtifactId in : store.InputsOf(consumer)) {
+          AddArtifact(in);
         }
       }
     }
   }
 
-  Graphlet g =
-      Finalize(store, trainer, exec_in_, artifact_in_, exec_is_descendant_);
+  std::sort(touched_execs_.begin(), touched_execs_.end());
+  std::sort(touched_artifacts_.begin(), touched_artifacts_.end());
+  Graphlet g = Finalize(store, trainer, touched_execs_, touched_artifacts_,
+                        exec_is_descendant_);
   // Reset scratch flags for the next extraction.
   for (ExecutionId id : touched_execs_) {
     exec_in_[static_cast<size_t>(id)] = 0;
@@ -281,8 +262,7 @@ Graphlet GraphletExtractor::Extract(const MetadataStore& store,
   return g;
 }
 
-std::vector<Graphlet> SegmentTrace(const MetadataStore& store,
-                                   const SegmentationOptions& options) {
+std::vector<Graphlet> SegmentTrace(const MetadataStore& store) {
   MLPROV_SPAN(segment_span, "core.SegmentTrace");
   MLPROV_SPAN_ARG(segment_span, "executions",
                   static_cast<uint64_t>(store.num_executions()));
@@ -298,7 +278,7 @@ std::vector<Graphlet> SegmentTrace(const MetadataStore& store,
               return ea.end_time != eb.end_time ? ea.end_time < eb.end_time
                                                 : a < b;
             });
-  GraphletExtractor extractor(options);
+  GraphletExtractor extractor;
 
   std::vector<Graphlet> graphlets;
   graphlets.reserve(trainers.size());
@@ -312,8 +292,7 @@ std::vector<Graphlet> SegmentTrace(const MetadataStore& store,
   return graphlets;
 }
 
-std::vector<Graphlet> SegmentTraceDatalog(
-    const MetadataStore& store, const SegmentationOptions& options) {
+std::vector<Graphlet> SegmentTraceDatalog(const MetadataStore& store) {
   MLPROV_SPAN(segment_span, "core.SegmentTraceDatalog");
   // Node encoding shared by all relations: artifact k -> 2k, execution
   // k -> 2k + 1.
@@ -344,9 +323,7 @@ std::vector<Graphlet> SegmentTraceDatalog(
       if (e.type == ExecutionType::kTrainer && e.id != trainer) {
         dl.AddFact("trainer", {exe(e.id)});
       }
-      if (e.id != trainer &&
-          (e.type == ExecutionType::kTrainer ||
-           IsStopType(e.type, options))) {
+      if (e.id != trainer && IsStopType(e.type)) {
         dl.AddFact("sc", {exe(e.id)});
       }
       if (IsDataAnalysisType(e.type)) dl.AddFact("analysis", {exe(e.id)});
@@ -428,7 +405,15 @@ std::vector<Graphlet> SegmentTraceDatalog(
     for (const auto& t : dl.Tuples("bart")) {
       artifact_in[static_cast<size_t>(t[0] / 2)] = 1;
     }
-    graphlets.push_back(Finalize(store, trainer, exec_in, artifact_in,
+    std::vector<ExecutionId> executions;
+    for (size_t id = 1; id < exec_in.size(); ++id) {
+      if (exec_in[id]) executions.push_back(static_cast<ExecutionId>(id));
+    }
+    std::vector<ArtifactId> artifacts;
+    for (size_t id = 1; id < artifact_in.size(); ++id) {
+      if (artifact_in[id]) artifacts.push_back(static_cast<ArtifactId>(id));
+    }
+    graphlets.push_back(Finalize(store, trainer, executions, artifacts,
                                  exec_is_descendant));
   }
   return graphlets;

@@ -9,7 +9,6 @@
 /// recorded by the simulator's memoization cache) segment exactly like
 /// their uncached counterparts — trace structure is cache-invariant.
 
-#include <iterator>
 #include <vector>
 
 #include "core/graphlet.h"
@@ -17,35 +16,28 @@
 
 namespace mlprov::core {
 
-/// Options for graphlet segmentation (Section 4.1 / Appendix A).
-struct SegmentationOptions {
-  /// Descendant traversal stops at (and excludes) these execution types —
-  /// the `sc` predicate of Appendix A: "either Transform or Trainer".
-  /// Copied from a static array rather than an initializer list, whose
-  /// temporary backing array GCC 12 at -O3 reports as maybe-uninitialized
-  /// wherever several options structs are built in one function.
-  static constexpr metadata::ExecutionType kDefaultDescendantStop[] = {
-      metadata::ExecutionType::kTransform, metadata::ExecutionType::kTrainer};
-  std::vector<metadata::ExecutionType> descendant_stop{
-      std::begin(kDefaultDescendantStop), std::end(kDefaultDescendantStop)};
-  /// Ancestor traversal does not expand through other Trainer executions:
-  /// per Figure 8, a warm-start edge is a cut between graphlets (the
-  /// upstream model artifact is included, its producing trainer is not).
-  bool cut_ancestors_at_trainers = true;
-};
+/// Graphlet segmentation has no options: the Appendix A rules are fixed.
+/// Descendant traversal stops at (and excludes) Transform and Trainer
+/// executions (the `sc` predicate: "either Transform or Trainer"), and
+/// ancestor traversal does not expand through other Trainers (Figure 8:
+/// a warm-start edge is a cut; the upstream model artifact is included,
+/// its producing trainer is not). The empty struct survives only as the
+/// type of StreamingSegmenterOptions::segmentation and
+/// ProvenanceIndexOptions::segmentation, which perfbench/ledger.cc reads.
+struct SegmentationOptions {};
 
 /// Reusable single-trainer graphlet extractor: the BFS kernel behind
 /// SegmentTrace and the streaming segmenter's only extraction path,
-/// which re-extracts one trainer's graphlet against a *growing* store.
-/// Owns its scratch bitmaps; they are grown lazily, so the same
-/// extractor instance stays valid as the store gains nodes. Extraction
-/// always reflects the store's current contents — calling Extract twice
-/// for the same trainer after the store grew returns the grown graphlet.
+/// which extracts one trainer's graphlet against a *growing* store.
+/// Owns its scratch bitmaps and frontiers; the bitmaps grow lazily, so
+/// the same extractor instance stays valid as the store gains nodes.
+/// Extraction always reflects the store's current contents — calling
+/// Extract twice for the same trainer after the store grew returns the
+/// grown graphlet. One extraction costs O(members + their incident
+/// edges + a sort of the member ids), independent of the store's size;
+/// only growing the bitmaps is amortized.
 class GraphletExtractor {
  public:
-  explicit GraphletExtractor(const SegmentationOptions& options = {})
-      : options_(options) {}
-
   /// Extracts the graphlet anchored at `trainer` (rules a/b/c of
   /// Appendix A) from the store's current contents.
   Graphlet Extract(const metadata::MetadataStore& store,
@@ -56,29 +48,28 @@ class GraphletExtractor {
   bool AddExec(metadata::ExecutionId id, bool descendant);
   bool AddArtifact(metadata::ArtifactId id);
 
-  SegmentationOptions options_;
   // Scratch bitmaps indexed by node id; reset after every extraction via
-  // the touched lists, so Extract is O(graphlet size) amortized.
+  // the touched lists.
   std::vector<char> exec_in_;
   std::vector<char> artifact_in_;
   std::vector<char> exec_is_descendant_;
   std::vector<metadata::ExecutionId> touched_execs_;
   std::vector<metadata::ArtifactId> touched_artifacts_;
+  std::vector<metadata::ExecutionId> exec_frontier_;
+  std::vector<metadata::ArtifactId> artifact_frontier_;
 };
 
 /// Extracts all model graphlets of a trace, one per Trainer execution,
 /// ordered chronologically by trainer end time (the paper's notion of
 /// consecutive graphlets). Runs in time linear in the total size of the
 /// extracted subgraphs.
-std::vector<Graphlet> SegmentTrace(const metadata::MetadataStore& store,
-                                   const SegmentationOptions& options = {});
+std::vector<Graphlet> SegmentTrace(const metadata::MetadataStore& store);
 
 /// Reference implementation of the Appendix A datalog queries on the
 /// Datalog engine; returns the same graphlet node sets as SegmentTrace.
 /// Exponentially slower on big traces — used for cross-checking only.
 std::vector<Graphlet> SegmentTraceDatalog(
-    const metadata::MetadataStore& store,
-    const SegmentationOptions& options = {});
+    const metadata::MetadataStore& store);
 
 }  // namespace mlprov::core
 

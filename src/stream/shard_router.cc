@@ -238,8 +238,7 @@ class ShardWorker {
       // the feed contract segments through the direct batch path
       // (byte-identical by the session identity guarantee).
       out.result = SessionResult{};
-      out.result.graphlets = core::SegmentTrace(
-          trace.store, options_.session.segmenter.segmentation);
+      out.result.graphlets = core::SegmentTrace(trace.store);
     }
     if (report.truncated_graphlets > 0) {
       out.quarantined_graphlets =

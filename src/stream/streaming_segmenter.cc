@@ -12,21 +12,37 @@ using metadata::ExecutionId;
 using metadata::ExecutionType;
 using metadata::Timestamp;
 
+namespace {
+
+/// Calls `fn` on each id of ascending `grown` that ascending `old` lacks,
+/// in one merge over both lists.
+template <typename Id, typename Fn>
+void ForEachGained(const std::vector<Id>& old, const std::vector<Id>& grown,
+                   Fn&& fn) {
+  auto it = old.begin();
+  for (Id id : grown) {
+    while (it != old.end() && *it < id) ++it;
+    if (it == old.end() || *it != id) fn(id);
+  }
+}
+
+void IndexMember(std::vector<std::vector<uint32_t>>& cells_of, int64_t id,
+                 size_t cell) {
+  if (cells_of.size() <= static_cast<size_t>(id)) {
+    cells_of.resize(static_cast<size_t>(id) + 1);
+  }
+  cells_of[static_cast<size_t>(id)].push_back(static_cast<uint32_t>(cell));
+}
+
+}  // namespace
+
 StreamingSegmenter::StreamingSegmenter(
     const metadata::MetadataStore* store,
     const StreamingSegmenterOptions& options)
     : store_(store),
-      options_(options),
       grace_seconds_(static_cast<Timestamp>(
           std::llround(options.seal_grace_hours *
-                       static_cast<double>(metadata::kSecondsPerHour)))),
-      extractor_(options.segmentation) {
-  trainer_is_descendant_stop_ =
-      std::find(options_.segmentation.descendant_stop.begin(),
-                options_.segmentation.descendant_stop.end(),
-                ExecutionType::kTrainer) !=
-      options_.segmentation.descendant_stop.end();
-}
+                       static_cast<double>(metadata::kSecondsPerHour)))) {}
 
 void StreamingSegmenter::OnExecution(const metadata::Execution& execution) {
   if (execution.type == ExecutionType::kTrainer) {
@@ -39,11 +55,8 @@ void StreamingSegmenter::OnExecution(const metadata::Execution& execution) {
     // Index the anchor immediately so events incident to the trainer
     // itself dirty the cell even before its first extraction refreshes
     // the membership index.
-    if (exec_cells_.size() <= static_cast<size_t>(execution.id)) {
-      exec_cells_.resize(static_cast<size_t>(execution.id) + 1);
-    }
-    exec_cells_[static_cast<size_t>(execution.id)].push_back(
-        static_cast<uint32_t>(index));
+    IndexMember(exec_cells_, execution.id, index);
+    dirtied_.push_back(static_cast<uint32_t>(index));
     seal_queue_.push(SealEntry{cell.trainer_end, index});
     ++stats_.cells;
   }
@@ -57,15 +70,14 @@ void StreamingSegmenter::OnArtifact(const metadata::Artifact& artifact) {
 void StreamingSegmenter::OnEvent(const metadata::Event& event) {
   MarkExecIncident(event.execution);
   // An input edge into a Trainer never changes *another* trainer's
-  // graphlet when Trainer is a descendant stop type (it is not reached
-  // as a descendant, ancestors traverse producer edges only, and the
-  // rule-(b) closure chases analysis executions only); skipping the
-  // artifact-side marking here keeps each new trainer — which consumes
-  // the whole rolling window — from dirtying every window-sharing cell.
-  // The consuming trainer's own cell was already marked above.
+  // graphlet (a Trainer is a descendant stop, ancestors traverse
+  // producer edges only, and the rule-(b) closure chases analysis
+  // executions only); skipping the artifact-side marking here keeps each
+  // new trainer — which consumes the whole rolling window — from
+  // dirtying every window-sharing cell. The consuming trainer's own cell
+  // was already marked above.
   bool input_to_trainer =
       event.kind == metadata::EventKind::kInput &&
-      trainer_is_descendant_stop_ &&
       event.execution >= 1 &&
       static_cast<size_t>(event.execution) <= store_->num_executions() &&
       store_->executions()[static_cast<size_t>(event.execution) - 1].type ==
@@ -79,13 +91,15 @@ void StreamingSegmenter::OnEvent(const metadata::Event& event) {
 
 void StreamingSegmenter::MarkDirty(size_t cell_index) {
   Cell& cell = cells_[cell_index];
+  if (cell.dirty) return;
+  cell.dirty = true;
+  dirtied_.push_back(static_cast<uint32_t>(cell_index));
+  // A late event on a sealed graphlet: the cell stays sealed and is
+  // re-extracted when next read.
   if (cell.sealed) {
-    cell.sealed = false;
     ++stats_.reseals;
     MLPROV_COUNTER_INC("stream.reseals");
-    seal_queue_.push(SealEntry{cell.trainer_end, cell_index});
   }
-  cell.dirty = true;
 }
 
 void StreamingSegmenter::MarkExecIncident(ExecutionId id) {
@@ -102,38 +116,32 @@ void StreamingSegmenter::MarkArtifactIncident(ArtifactId id) {
   }
 }
 
-void StreamingSegmenter::ExtractCell(size_t cell_index) {
+void StreamingSegmenter::ExtractCell(size_t cell_index) const {
   Cell& cell = cells_[cell_index];
   core::Graphlet grown = extractor_.Extract(*store_, cell.trainer);
   ++stats_.extractions;
   MLPROV_COUNTER_INC("stream.extractions");
   // Graphlets are monotone as the store grows, so indexing only the
-  // diff keeps the membership lists duplicate-free.
-  const std::vector<ExecutionId>& old_execs = cell.graphlet.executions;
-  for (ExecutionId id : grown.executions) {
-    if (std::binary_search(old_execs.begin(), old_execs.end(), id)) continue;
-    if (cell.extracted_once || id != cell.trainer) {
-      if (exec_cells_.size() <= static_cast<size_t>(id)) {
-        exec_cells_.resize(static_cast<size_t>(id) + 1);
-      }
-      exec_cells_[static_cast<size_t>(id)].push_back(
-          static_cast<uint32_t>(cell_index));
-    }
-  }
-  const std::vector<ArtifactId>& old_artifacts = cell.graphlet.artifacts;
-  for (ArtifactId id : grown.artifacts) {
-    if (std::binary_search(old_artifacts.begin(), old_artifacts.end(), id)) {
-      continue;
-    }
-    if (artifact_cells_.size() <= static_cast<size_t>(id)) {
-      artifact_cells_.resize(static_cast<size_t>(id) + 1);
-    }
-    artifact_cells_[static_cast<size_t>(id)].push_back(
-        static_cast<uint32_t>(cell_index));
-  }
+  // gained members keeps the membership lists duplicate-free. The anchor
+  // was indexed when its cell was born.
+  ForEachGained(cell.graphlet.executions, grown.executions,
+                [&](ExecutionId id) {
+                  if (id != cell.trainer) {
+                    IndexMember(exec_cells_, id, cell_index);
+                  }
+                });
+  ForEachGained(cell.graphlet.artifacts, grown.artifacts, [&](ArtifactId id) {
+    IndexMember(artifact_cells_, id, cell_index);
+  });
   cell.graphlet = std::move(grown);
   cell.dirty = false;
-  cell.extracted_once = true;
+}
+
+void StreamingSegmenter::ExtractDirty() const {
+  for (uint32_t cell : dirtied_) {
+    if (cells_[cell].dirty) ExtractCell(cell);
+  }
+  dirtied_.clear();
 }
 
 const core::Graphlet& StreamingSegmenter::ExtractNow(size_t cell) {
@@ -159,21 +167,12 @@ void StreamingSegmenter::CheckSeals() {
     SealEntry entry = seal_queue_.top();
     seal_queue_.pop();
     Cell& cell = cells_[entry.cell];
-    if (cell.sealed) continue;  // stale entry from a reopen
     if (cell.dirty) ExtractCell(entry.cell);
     cell.sealed = true;
     ++stats_.sealed;
     MLPROV_COUNTER_INC("stream.sealed");
     newly_sealed_.push_back(entry.cell);
   }
-}
-
-size_t StreamingSegmenter::NumOpenCells() const {
-  size_t open = 0;
-  for (const Cell& cell : cells_) {
-    if (!cell.sealed) ++open;
-  }
-  return open;
 }
 
 Timestamp StreamingSegmenter::OldestUnsealedTrainerEnd() const {
@@ -193,6 +192,7 @@ std::vector<size_t> StreamingSegmenter::TakeSealed() {
 
 std::vector<ExecutionId> StreamingSegmenter::TrainersTouchingArtifact(
     ArtifactId artifact) const {
+  ExtractDirty();
   std::vector<ExecutionId> trainers;
   if (artifact >= 1 &&
       static_cast<size_t>(artifact) < artifact_cells_.size()) {
@@ -207,12 +207,10 @@ std::vector<ExecutionId> StreamingSegmenter::TrainersTouchingArtifact(
 }
 
 std::vector<core::Graphlet> StreamingSegmenter::Finish() {
+  ExtractDirty();
   std::vector<core::Graphlet> graphlets;
   graphlets.reserve(cells_.size());
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].dirty) ExtractCell(i);
-    graphlets.push_back(cells_[i].graphlet);
-  }
+  for (const Cell& cell : cells_) graphlets.push_back(cell.graphlet);
   // Match core::SegmentTrace's chronological order exactly.
   std::sort(graphlets.begin(), graphlets.end(),
             [](const core::Graphlet& a, const core::Graphlet& b) {

@@ -9,20 +9,26 @@
 /// single batch pass. The key ideas:
 ///
 ///  - One "cell" per Trainer execution. A cell owns the trainer's
-///    graphlet and is lazily (re-)extracted with core::GraphletExtractor
-///    only when needed — never on every event.
+///    graphlet and extracts it with core::GraphletExtractor only when the
+///    graphlet is read — never on every event.
 ///  - Lazy dirty marking. A clean (freshly extracted) cell keeps a
 ///    membership index over its nodes. Every event that can change a
 ///    graphlet is incident to a *current member* of that graphlet
 ///    (descendant growth crosses a member artifact; ancestors enter via
 ///    member artifacts; the rule-(b) analysis closure enters via member
-///    Examples spans), so incident events just set a dirty bit. Dirty
-///    cells are re-extracted at seal time against the full store, which
-///    also repairs any chained growth the stale index missed.
+///    Examples spans), so incident events just set a dirty bit. A dirty
+///    cell is re-extracted against the full store when it is next read,
+///    which also repairs any chained growth the stale index missed.
 ///  - Watermark sealing. The watermark is the max timestamp observed in
 ///    the feed. A cell whose trainer ended more than `seal_grace_hours`
-///    before the watermark is extracted and sealed; a late event that
-///    touches a sealed cell's members reopens it (counted as a reseal).
+///    before the watermark is extracted and sealed, once: TakeSealed
+///    reports it and CellGraphlet holds its graphlet. A late event that
+///    touches a sealed cell's members only marks it stale (counted as a
+///    reseal); the cell stays sealed and is re-extracted when next read.
+///
+/// Reads are ExtractNow, TrainersTouchingArtifact and Finish. So a
+/// session that nothing reads extracts each cell at most twice: at its
+/// first seal, and at Finish if a late event touched it.
 ///
 /// Finish() extracts every remaining dirty cell and returns all
 /// graphlets ordered by (trainer end time, trainer id) — byte-identical
@@ -44,6 +50,8 @@
 namespace mlprov::stream {
 
 struct StreamingSegmenterOptions {
+  /// Unread (segmentation has no options); kept because
+  /// perfbench/ledger.cc builds the index's options from it.
   core::SegmentationOptions segmentation;
   /// How far (in trace hours) the watermark must pass a trainer's end
   /// time before its graphlet is sealed. Larger values mean fewer
@@ -56,14 +64,19 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
  public:
   struct Stats {
     size_t cells = 0;
+    /// Cells sealed; each cell seals once.
     size_t sealed = 0;
-    /// Sealed cells reopened by a late incident event.
+    /// Late events that touched a clean sealed cell's members and so
+    /// marked it stale. Touches of an already-stale cell are not counted
+    /// again until a read re-extracts it.
     size_t reseals = 0;
-    /// Total GraphletExtractor::Extract calls (the real work; a perfect
-    /// incremental run does cells + reseals of them).
+    /// Total GraphletExtractor::Extract calls (the real work): one at a
+    /// cell's first seal, and one per read (ExtractNow,
+    /// TrainersTouchingArtifact, Finish) that finds the cell dirty.
+    /// Without reads, at most 2 * cells.
     size_t extractions = 0;
     /// Events processed. Each costs O(incident cells) dirty-marking;
-    /// extraction only ever happens at seal, Finish, or ExtractNow.
+    /// extraction only ever happens at first seal or at a read.
     size_t events = 0;
   };
 
@@ -82,15 +95,15 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
   void AttachIndex(const core::ProvenanceIndex* /*index*/) {}
 
   /// GraphletMembershipProvider: trainer anchors of the cells whose
-  /// last-extracted graphlet contains `artifact`, ascending and
-  /// deduplicated. Exact for sealed history; an unsealed dirty cell
-  /// reflects its last extraction (call Finish() first for an exact
-  /// whole-trace answer).
+  /// graphlet contains `artifact`, ascending and deduplicated. Exact at
+  /// every ingest prefix: every dirty cell, sealed or not, is
+  /// re-extracted first (O(dirty cells) extractions; none when all are
+  /// clean). Const because only derived cell state changes.
   std::vector<metadata::ExecutionId> TrainersTouchingArtifact(
       metadata::ArtifactId artifact) const override;
 
-  /// Cell indices sealed since the last call, in seal order. A resealed
-  /// cell is reported again.
+  /// Cell indices sealed since the last call, in seal order. Each cell is
+  /// reported once: a late event on a sealed cell leaves it sealed.
   std::vector<size_t> TakeSealed();
 
   /// Extracts every remaining dirty cell and returns all graphlets in
@@ -105,13 +118,15 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
   }
   bool CellSealed(size_t cell) const { return cells_[cell].sealed; }
   /// The cell's graphlet as of its last extraction (empty-membered until
-  /// the first extraction). ExtractNow for an up-to-date view.
+  /// the first extraction). A sealed cell's graphlet is current when
+  /// TakeSealed reports it; a later event leaves it stale until a read.
+  /// ExtractNow for an up-to-date view.
   const core::Graphlet& CellGraphlet(size_t cell) const {
     return cells_[cell].graphlet;
   }
-  /// Forces the cell's graphlet up to date against the current store and
-  /// returns it. Used by the online scorer at intervention points; a
-  /// forced extraction cleans the cell like a seal-time one does.
+  /// Brings the cell's graphlet up to date against the current store
+  /// (extracting only if the cell is dirty) and returns it. Used by the
+  /// online scorer at intervention points.
   const core::Graphlet& ExtractNow(size_t cell);
   /// Cell index anchored at `trainer`, or SIZE_MAX if unknown.
   size_t CellOf(metadata::ExecutionId trainer) const;
@@ -126,9 +141,8 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
   /// are not per-record.
   metadata::Timestamp OldestUnsealedTrainerEnd() const;
 
-  /// Cells currently unsealed (a sealed-then-reopened cell counts once,
-  /// unlike stats().sealed which counts seal *events*). O(cells).
-  size_t NumOpenCells() const;
+  /// Cells currently unsealed (a sealed cell never reopens).
+  size_t NumOpenCells() const { return stats_.cells - stats_.sealed; }
 
  private:
   struct Cell {
@@ -137,7 +151,6 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
     core::Graphlet graphlet;
     bool dirty = true;  // dirty from birth: never extracted yet
     bool sealed = false;
-    bool extracted_once = false;
   };
   struct SealEntry {
     metadata::Timestamp trainer_end = 0;
@@ -153,30 +166,38 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
   void MarkExecIncident(metadata::ExecutionId id);
   void MarkArtifactIncident(metadata::ArtifactId id);
   /// Re-extracts `cell` and indexes its newly gained members.
-  void ExtractCell(size_t cell);
+  void ExtractCell(size_t cell) const;
+  /// Re-extracts every dirty cell.
+  void ExtractDirty() const;
   void AdvanceWatermark(metadata::Timestamp t);
   void CheckSeals();
 
   const metadata::MetadataStore* store_;
-  StreamingSegmenterOptions options_;
   metadata::Timestamp grace_seconds_ = 0;
-  bool trainer_is_descendant_stop_ = true;
-  core::GraphletExtractor extractor_;
 
-  std::deque<Cell> cells_;
+  // Derived state: the cells' graphlets and the membership indexes over
+  // them. Mutable because the const membership query re-extracts dirty
+  // cells before it answers (like every other call, not concurrently
+  // with another call on the same segmenter).
+  mutable core::GraphletExtractor extractor_;
+  mutable std::deque<Cell> cells_;
   /// Membership indexes: node id -> cells whose last-extracted graphlet
   /// contains the node. Graphlets only grow as the store grows, so
   /// entries never go stale — re-extraction appends the diff.
-  std::vector<std::vector<uint32_t>> exec_cells_;
-  std::vector<std::vector<uint32_t>> artifact_cells_;
-  /// Unsealed cells ordered by trainer end (lazy deletion on reopen).
+  mutable std::vector<std::vector<uint32_t>> exec_cells_;
+  mutable std::vector<std::vector<uint32_t>> artifact_cells_;
+  /// Cells that turned dirty since the last ExtractDirty (some may have
+  /// been re-extracted since by ExtractNow or a seal).
+  mutable std::vector<uint32_t> dirtied_;
+  mutable Stats stats_;
+
+  /// Unsealed cells ordered by trainer end; each cell enters once.
   std::priority_queue<SealEntry, std::vector<SealEntry>,
                       std::greater<SealEntry>>
       seal_queue_;
   std::unordered_map<metadata::ExecutionId, size_t> trainer_cell_;
   std::vector<size_t> newly_sealed_;
   metadata::Timestamp watermark_ = 0;
-  Stats stats_;
 };
 
 }  // namespace mlprov::stream

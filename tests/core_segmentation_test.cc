@@ -1,5 +1,8 @@
 #include "core/segmentation.h"
 
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "metadata/metadata_store.h"
@@ -142,6 +145,41 @@ TEST(SegmentationTest, InputSpansOrderedBySpanNumber) {
             (std::vector<ArtifactId>{t.span[0], t.span[1]}));
   EXPECT_EQ(g[1].input_spans,
             (std::vector<ArtifactId>{t.span[1], t.span[2]}));
+
+  // The key is the integer "span" property, else the creation time (a
+  // missing or non-integer property); equal keys order by id.
+  MetadataStore store;
+  metadata::Execution gen;
+  gen.type = ExecutionType::kExampleGen;
+  const ExecutionId gen_id = store.PutExecution(gen);
+  metadata::Execution trainer;
+  trainer.type = ExecutionType::kTrainer;
+  trainer.start_time = 200;
+  trainer.end_time = 210;
+  const ExecutionId trainer_id = store.PutExecution(trainer);
+  auto span = [&](metadata::Timestamp created,
+                  std::optional<metadata::PropertyValue> number) {
+    metadata::Artifact a;
+    a.type = ArtifactType::kExamples;
+    a.create_time = created;
+    if (number.has_value()) a.properties["span"] = *number;
+    const ArtifactId id = store.PutArtifact(a);
+    EXPECT_TRUE(store.PutEvent({gen_id, id, EventKind::kOutput, 0}).ok());
+    EXPECT_TRUE(store.PutEvent({trainer_id, id, EventKind::kInput, 0}).ok());
+    return id;
+  };
+  const ArtifactId five = span(100, int64_t{5});      // key 5
+  const ArtifactId no_span = span(3, std::nullopt);   // key 3
+  const ArtifactId text = span(9, std::string("2"));  // key 9
+  const ArtifactId five_again = span(0, int64_t{5});  // key 5, later id
+  const ArtifactId real = span(7, 1.0);               // key 7
+  const auto mixed = SegmentTrace(store);
+  ASSERT_EQ(mixed.size(), 1u);
+  EXPECT_EQ(mixed[0].input_spans,
+            (std::vector<ArtifactId>{no_span, five, five_again, real, text}));
+  const auto datalog = SegmentTraceDatalog(store);
+  ASSERT_EQ(datalog.size(), 1u);
+  EXPECT_EQ(datalog[0].input_spans, mixed[0].input_spans);
 }
 
 TEST(SegmentationTest, CostSplit) {

@@ -139,8 +139,11 @@ TEST_F(SessionFeed, WatermarkSealsAndLateEventsReseal) {
   EXPECT_TRUE(session.segmenter().CellSealed(sealed[0]));
   EXPECT_EQ(session.stats().segmenter.reseals, 0u);
 
-  // A very late evaluator consuming the sealed graphlet's model reopens
-  // the cell (descendant growth), counted as a reseal.
+  // A very late evaluator consuming the sealed graphlet's model marks
+  // the cell stale (descendant growth), counted as a reseal. Nothing
+  // reads the cell, so nothing is extracted: it stays sealed and is not
+  // reported again.
+  const size_t extractions = session.stats().segmenter.extractions;
   ASSERT_TRUE(session
                   .Ingest(ExecRecord(4, ExecutionType::kEvaluator,
                                      102 * kHour, 103 * kHour))
@@ -149,11 +152,25 @@ TEST_F(SessionFeed, WatermarkSealsAndLateEventsReseal) {
       session.Ingest(EventRecord(4, 2, EventKind::kInput, 102 * kHour))
           .ok());
   EXPECT_EQ(session.stats().segmenter.reseals, 1u);
+  EXPECT_EQ(session.stats().segmenter.extractions, extractions);
+  EXPECT_TRUE(session.segmenter().CellSealed(sealed[0]));
+  EXPECT_TRUE(session.segmenter().TakeSealed().empty());
+  EXPECT_EQ(session.segmenter().CellGraphlet(sealed[0]).executions,
+            (std::vector<ExecutionId>{1, 2}));
+
+  // Reading the cell re-extracts it once and returns the grown graphlet.
+  EXPECT_EQ(session.segmenter().ExtractNow(sealed[0]).executions,
+            (std::vector<ExecutionId>{1, 2, 4}));
+  EXPECT_EQ(session.stats().segmenter.extractions, extractions + 1);
+  EXPECT_EQ(session.segmenter().ExtractNow(sealed[0]).executions,
+            (std::vector<ExecutionId>{1, 2, 4}));
+  EXPECT_EQ(session.stats().segmenter.extractions, extractions + 1);
+  EXPECT_EQ(session.stats().segmenter.reseals, 1u);
 
   auto result = session.Finish();
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->graphlets.size(), 2u);
-  // The resealed graphlet picked up the late evaluator.
+  // The stale graphlet picked up the late evaluator.
   EXPECT_EQ(result->graphlets[0].executions,
             (std::vector<ExecutionId>{1, 2, 4}));
 }
