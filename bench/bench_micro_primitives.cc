@@ -1,10 +1,12 @@
 // Microbenchmarks for the similarity substrate: exact EMD vs the 1-D
 // closed form, LSH hashing, span sketching, span-pair similarity (EMD vs
-// positional), the Hungarian matcher, and the graphlet featurizer that
-// the online scorer runs per decision.
+// positional), the Hungarian matcher, the graphlet featurizer that the
+// online scorer runs per decision, and the per-record cost of a plain
+// streaming session.
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <string>
 
 #include "bench/micro_common.h"
 #include "common/rng.h"
@@ -15,6 +17,8 @@
 #include "similarity/feature_similarity.h"
 #include "similarity/span_similarity.h"
 #include "simulator/corpus_generator.h"
+#include "stream/replay.h"
+#include "stream/session.h"
 
 namespace mlprov {
 namespace {
@@ -161,6 +165,35 @@ void BM_FeaturizerRow(benchmark::State& state) {
   state.SetLabel(std::to_string(graphlets.size()) + " graphlets");
 }
 BENCHMARK(BM_FeaturizerRow)->Unit(benchmark::kMicrosecond);
+
+// A plain (unscored) session's whole life per calibrated feed: construct,
+// replay every record with its span stats, Finish, destroy. Each
+// iteration replays every pipeline of the corpus; items are records, so
+// the reported rate gives ns per record.
+void BM_SessionReplay(benchmark::State& state) {
+  sim::CorpusConfig config;
+  config.num_pipelines = 16;
+  config.seed = 900;
+  config.horizon_days = 45.0;
+  const sim::Corpus corpus = sim::GenerateCorpus(config);
+  size_t records = 0;
+  for (auto _ : state) {
+    records = 0;
+    for (const sim::PipelineTrace& trace : corpus.pipelines) {
+      stream::ProvenanceSession session;
+      if (!stream::ReplayTrace(trace, session).ok()) {
+        state.SkipWithError("replay failed");
+        return;
+      }
+      benchmark::DoNotOptimize(session.Finish());
+      records += session.stats().records;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(records));
+  state.SetLabel(std::to_string(records) + " records");
+}
+BENCHMARK(BM_SessionReplay)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mlprov

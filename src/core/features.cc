@@ -151,15 +151,34 @@ GraphletFeaturizer::Schema GraphletFeaturizer::BuildSchema(
 
 GraphletFeaturizer::GraphletFeaturizer(
     const metadata::MetadataStore* store,
-    const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>*
-        span_stats,
-    const FeatureOptions& options)
+    const dataspan::SpanStatsTable* span_stats, const FeatureOptions& options)
     : store_(store),
       span_stats_(span_stats),
       options_(options),
       window_(std::max(1, options.history_window)),
       calc_(options.similarity.feature_options) {
   num_columns_ = BuildSchema(options_).names.size();
+}
+
+GraphletFeaturizer::GraphletFeaturizer(
+    const metadata::MetadataStore* store,
+    const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>*
+        span_stats,
+    const FeatureOptions& options)
+    : GraphletFeaturizer(store, static_cast<const dataspan::SpanStatsTable*>(
+                                    nullptr),
+                         options) {
+  span_stats_by_value_ = span_stats;
+}
+
+const dataspan::SpanStats* GraphletFeaturizer::FindSpan(
+    metadata::ArtifactId id) const {
+  if (span_stats_by_value_ != nullptr) {
+    auto it = span_stats_by_value_->find(id);
+    return it == span_stats_by_value_->end() ? nullptr : &it->second;
+  }
+  auto it = span_stats_->find(id);
+  return it == span_stats_->end() ? nullptr : it->second.get();
 }
 
 GraphletFeaturizer::HistoryEntry GraphletFeaturizer::EntryFor(
@@ -171,10 +190,10 @@ GraphletFeaturizer::HistoryEntry GraphletFeaturizer::EntryFor(
       std::unique(entry.sorted_spans.begin(), entry.sorted_spans.end()),
       entry.sorted_spans.end());
   for (metadata::ArtifactId id : g.input_spans) {
-    auto it = span_stats_->find(id);
-    if (it == span_stats_->end()) continue;
+    const dataspan::SpanStats* stats = FindSpan(id);
+    if (stats == nullptr) continue;
     entry.span_keys.push_back(id);
-    entry.spans.push_back(&it->second);
+    entry.spans.push_back(stats);
   }
   return entry;
 }

@@ -100,7 +100,16 @@ class GraphletFeaturizer {
   /// `store` and `span_stats` describe the pipeline's (possibly still
   /// growing) trace; both are borrowed and must outlive the featurizer.
   /// A span's stats are read when a graphlet carrying it is featurized,
-  /// so they must arrive no later than the span and never change.
+  /// so they must arrive no later than the span. The table may gain
+  /// entries but must not drop or replace one: history entries point
+  /// into the shared stats objects it holds.
+  GraphletFeaturizer(const metadata::MetadataStore* store,
+                     const dataspan::SpanStatsTable* span_stats,
+                     const FeatureOptions& options = {});
+
+  /// The same over a table that owns its stats by value, for callers
+  /// that keep their own copies. Both constructors feed the one lookup
+  /// (FindSpan), so they give bit-identical rows.
   GraphletFeaturizer(
       const metadata::MetadataStore* store,
       const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>*
@@ -154,10 +163,14 @@ class GraphletFeaturizer {
   };
   HistoryEntry EntryFor(const Graphlet& graphlet) const;
   double DatasetSimilarity(const HistoryEntry& a, const HistoryEntry& b);
+  /// The span's stats, or null when the span has none (yet).
+  const dataspan::SpanStats* FindSpan(metadata::ArtifactId id) const;
 
   const metadata::MetadataStore* store_;
+  /// Exactly one of the two tables is set, by the constructor.
+  const dataspan::SpanStatsTable* span_stats_ = nullptr;
   const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>*
-      span_stats_;
+      span_stats_by_value_ = nullptr;
   FeatureOptions options_;
   int window_;
   size_t num_columns_;

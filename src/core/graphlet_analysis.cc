@@ -141,23 +141,22 @@ double GraphletDatasetSimilarity(
                                    positional_features);
 }
 
-double GraphletDatasetSimilarity(
-    const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>&
-        span_stats,
-    const Graphlet& a, const Graphlet& b,
-    similarity::SpanSimilarityCalculator& calc, bool positional_features) {
+double GraphletDatasetSimilarity(const dataspan::SpanStatsTable& span_stats,
+                                 const Graphlet& a, const Graphlet& b,
+                                 similarity::SpanSimilarityCalculator& calc,
+                                 bool positional_features) {
   std::vector<const dataspan::SpanStats*> spans_a, spans_b;
   std::vector<int64_t> keys_a, keys_b;
   for (metadata::ArtifactId id : a.input_spans) {
     auto it = span_stats.find(id);
     if (it == span_stats.end()) continue;
-    spans_a.push_back(&it->second);
+    spans_a.push_back(it->second.get());
     keys_a.push_back(id);
   }
   for (metadata::ArtifactId id : b.input_spans) {
     auto it = span_stats.find(id);
     if (it == span_stats.end()) continue;
-    spans_b.push_back(&it->second);
+    spans_b.push_back(it->second.get());
     keys_b.push_back(id);
   }
   return calc.SequenceSimilarity(spans_a, keys_a, spans_b, keys_b,

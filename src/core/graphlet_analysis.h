@@ -10,7 +10,6 @@
 /// counted and excluded rather than silently dropped.
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -179,13 +178,11 @@ double GraphletDatasetSimilarity(const sim::PipelineTrace& trace,
                                  bool positional_features = false);
 
 /// Same, over a bare span-statistics side table — the form streaming
-/// consumers hold (a session accumulates the map record by record).
-double GraphletDatasetSimilarity(
-    const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>&
-        span_stats,
-    const Graphlet& a, const Graphlet& b,
-    similarity::SpanSimilarityCalculator& calc,
-    bool positional_features = false);
+/// consumers hold (a session accumulates the table record by record).
+double GraphletDatasetSimilarity(const dataspan::SpanStatsTable& span_stats,
+                                 const Graphlet& a, const Graphlet& b,
+                                 similarity::SpanSimilarityCalculator& calc,
+                                 bool positional_features = false);
 
 /// Jaccard similarity of the two graphlets' input span sets (Sec 4.2.1).
 double GraphletJaccard(const Graphlet& a, const Graphlet& b);

@@ -2,6 +2,8 @@
 #define MLPROV_DATASPAN_SPAN_STATS_H_
 
 #include <cstdint>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +23,17 @@ struct SpanStats {
   size_t NumCategorical() const;
   size_t NumNumerical() const { return features.size() - NumCategorical(); }
 };
+
+/// A span's statistics are written once, where the span is drawn (the
+/// simulator) or decoded (WAL replay, checkpoint restore), and only read
+/// after that. Every holder — the trace, the feed record, a session's
+/// table, a WAL entry — shares the one immutable object, so no ingest
+/// path copies a SpanStats and any holder may outlive the producer.
+using SpanStatsPtr = std::shared_ptr<const SpanStats>;
+
+/// One pipeline's span statistics keyed by the Examples artifact id
+/// (metadata::ArtifactId).
+using SpanStatsTable = std::unordered_map<int64_t, SpanStatsPtr>;
 
 /// Parameters of the schema of a simulated pipeline's data source: how many
 /// features, the categorical mix, and domain sizes. Sampled once per

@@ -145,9 +145,11 @@ double SpanSimilarityCalculator::Cached(int64_t key_a,
                                         int64_t key_b,
                                         const dataspan::SpanStats& b,
                                         Metric metric) {
-  // Symmetric: the span keys are ordered.
-  const PairKey key = {std::min(key_a, key_b), std::max(key_a, key_b),
-                       metric};
+  // Symmetric: the span keys are ordered, and the value is computed in
+  // key order. The EMD is not bitwise symmetric, so computing in the
+  // caller's order would cache whichever orientation came first.
+  if (key_b < key_a) return Cached(key_b, b, key_a, a, metric);
+  const PairKey key = {key_a, key_b, metric};
   if (auto it = pair_cache_.find(key); it != pair_cache_.end()) {
     return it->second;
   }

@@ -40,7 +40,9 @@ class SpanSimilarityCalculator {
                             const dataspan::SpanStats& b) const;
 
   /// Cached variant; `key_a`/`key_b` must uniquely identify the spans
-  /// (e.g. their artifact ids). The cache is symmetric.
+  /// (e.g. their artifact ids). The cache is symmetric: the value is
+  /// computed with the lower key's span first, so (a, b) and (b, a) give
+  /// the same bits whichever is asked first.
   double SpanPairSimilarityCached(int64_t key_a,
                                   const dataspan::SpanStats& a,
                                   int64_t key_b,

@@ -8,7 +8,6 @@
 /// pipeline_id, and a corpus generated with the same (CorpusConfig,
 /// seed) is byte-identical regardless of thread count.
 
-#include <unordered_map>
 #include <vector>
 
 #include "dataspan/span_stats.h"
@@ -20,11 +19,12 @@ namespace mlprov::sim {
 /// One pipeline's simulated provenance: its configuration, MLMD trace, and
 /// the per-span summary statistics side table (keyed by the Examples
 /// artifact id, mirroring Section 2.2's "additional metadata per data
-/// span").
+/// span"). The table shares each span's immutable stats with the feed
+/// records and the sessions that ingest them.
 struct PipelineTrace {
   PipelineConfig config;
   metadata::MetadataStore store;
-  std::unordered_map<metadata::ArtifactId, dataspan::SpanStats> span_stats;
+  dataspan::SpanStatsTable span_stats;
 
   PipelineTrace() = default;
   PipelineTrace(PipelineTrace&&) = default;

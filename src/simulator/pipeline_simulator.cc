@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include "obs/metrics.h"
@@ -367,9 +368,11 @@ void PipelineSimulator::IngestSpans(Timestamp now, int count,
         std::lround(config_.num_features * config_.categorical_fraction));
     a->properties["log10_domain_mean"] = config_.log10_domain_mean;
 
-    dataspan::SpanStats stats = span_gen_.NextSpan();
-    stats.span_number = next_span_number_++;
-    AnonymizeNames(stats, config_.pipeline_id);
+    // The span's one stats object: the feed, sessions and WAL entries
+    // share it from here on.
+    auto stats = std::make_shared<dataspan::SpanStats>(span_gen_.NextSpan());
+    stats->span_number = next_span_number_++;
+    AnonymizeNames(*stats, config_.pipeline_id);
     trace.span_stats.emplace(span, std::move(stats));
     window_.push_back(span);
     window_movements_.push_back(pending_movement_);

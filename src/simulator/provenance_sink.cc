@@ -35,7 +35,7 @@ void ProvenanceFeeder::EmitArtifactsUpTo(const PipelineTrace& trace,
     record.artifact = artifacts[static_cast<size_t>(next_artifact_) - 1];
     if (auto it = trace.span_stats.find(next_artifact_);
         it != trace.span_stats.end()) {
-      record.span_stats = &it->second;
+      record.span_stats = it->second;
     }
     ++next_artifact_;
     ++records_emitted_;

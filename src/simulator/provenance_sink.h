@@ -37,9 +37,10 @@ struct ProvenanceRecord {
   metadata::Artifact artifact;
   metadata::Event event;
   /// Optional side-table payload for kArtifact records of Examples spans
-  /// (the Section 2.2 per-span summary statistics). Borrowed from the
-  /// producing trace; valid only for the duration of the sink call.
-  const dataspan::SpanStats* span_stats = nullptr;
+  /// (the Section 2.2 per-span summary statistics). Shared and immutable:
+  /// a sink may keep the pointer, and the stats outlive the producing
+  /// trace for as long as any holder does.
+  dataspan::SpanStatsPtr span_stats;
   /// Causal span identity for kExecution records: trace id = pipeline
   /// id + 1, span id = the execution's MLMD id. Invalid (all zero) for
   /// other kinds. Downstream stages (segmenter seal, scorer decision)

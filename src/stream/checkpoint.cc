@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -64,7 +65,7 @@ void ProvenanceSession::EncodeState(std::string& out) const {
   AppendVarint(out, span_ids.size());
   for (metadata::ArtifactId id : span_ids) {
     AppendSvarint(out, id);
-    walwire::AppendSpanStats(out, span_stats_.at(id));
+    walwire::AppendSpanStats(out, *span_stats_.at(id));
   }
   AppendBlob(out, arrivals_);
   AppendVarint(out, trace_id_);
@@ -88,13 +89,17 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
   if (!walwire::ReadVarint(in, &count) || count > in.remaining()) {
     return Corrupt("span-stats count");
   }
-  std::vector<std::pair<metadata::ArtifactId, dataspan::SpanStats>> spans;
+  // Each span's stats are decoded once, into the shared object the
+  // replayed record hands the session.
+  std::vector<std::pair<metadata::ArtifactId, dataspan::SpanStatsPtr>> spans;
   for (uint64_t i = 0; i < count; ++i) {
-    auto& [id, stats] = spans.emplace_back();
+    metadata::ArtifactId id = 0;
+    auto stats = std::make_shared<dataspan::SpanStats>();
     if (!walwire::ReadSvarint(in, &id) ||
-        !walwire::ReadSpanStats(in, &stats)) {
+        !walwire::ReadSpanStats(in, stats.get())) {
       return Corrupt("span stats");
     }
+    spans.emplace_back(id, std::move(stats));
   }
   std::string_view arrivals;
   uint64_t trace_id = 0;
@@ -148,7 +153,7 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
         record.kind = sim::ProvenanceRecord::Kind::kArtifact;
         record.artifact = std::move(*store->MutableArtifact(++artifacts));
         if (span < spans.size() && spans[span].first == artifacts) {
-          record.span_stats = &spans[span++].second;
+          record.span_stats = std::move(spans[span++].second);
         }
         break;
       case 'V':

@@ -196,7 +196,7 @@ Status ProvenanceSession::IngestImpl(const ProvenanceRecord& record) {
             store_.AddArtifactToContext(context_, expected));
       }
       if (record.span_stats != nullptr) {
-        span_stats_.emplace(expected, *record.span_stats);
+        span_stats_.emplace(expected, record.span_stats);
       }
       if (options_.enable_index) index_.OnArtifact(record.artifact);
       segmenter_.OnArtifact(record.artifact);

@@ -26,7 +26,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -137,8 +136,10 @@ class ProvenanceSession : public sim::ProvenanceSink {
   /// at store insertion — no intermediate owned record is built. Views
   /// only need to live for the duration of the call. RecordRef carries
   /// no span context or span stats, matching any serialized feed (the
-  /// text format does not persist them either), so analyses stay
-  /// byte-identical across formats.
+  /// text format does not persist them either). Graphlets stay
+  /// byte-identical across formats, and so do unscored analyses; a
+  /// scored session fed RecordRefs featurizes without span stats, so
+  /// its decisions differ from a live feed's (ROADMAP item 2).
   common::Status Ingest(const metadata::RecordRef& record);
 
   /// ProvenanceSink adapter for live feeds: Ingest with the error
@@ -155,10 +156,9 @@ class ProvenanceSession : public sim::ProvenanceSink {
   /// producing store exactly (the feed-order contract makes dense id
   /// reassignment reproduce them).
   const metadata::MetadataStore& store() const { return store_; }
-  const std::unordered_map<metadata::ArtifactId, dataspan::SpanStats>&
-  span_stats() const {
-    return span_stats_;
-  }
+  /// The span stats the feed delivered, shared with the producer (the
+  /// same objects the records carried, not copies).
+  const dataspan::SpanStatsTable& span_stats() const { return span_stats_; }
 
   const common::Status& status() const { return status_; }
   bool finished() const { return finished_; }
@@ -254,7 +254,7 @@ class ProvenanceSession : public sim::ProvenanceSink {
   /// Cached "session.<name>.*" gauges, resolved on first PublishHealth.
   std::vector<obs::Gauge*> health_gauges_;
   metadata::MetadataStore store_;
-  std::unordered_map<metadata::ArtifactId, dataspan::SpanStats> span_stats_;
+  dataspan::SpanStatsTable span_stats_;
   core::ProvenanceIndex index_;   // observes store_; declared after it
   StreamingSegmenter segmenter_;  // observes store_
   metadata::ContextId context_ = metadata::kInvalidId;

@@ -90,8 +90,8 @@ SessionOptions MakeSessionOptions(const ShardRouterOptions& options,
 
 /// One pipeline's plain or durable session, alive for one
 /// ShardWorker::Ingest call. It is the feed's sink, so the feeder calls
-/// it on the owning worker's thread and a record's borrowed span stats
-/// stay valid for the whole Ingest call. The first failure is sticky:
+/// it on the owning worker's thread, and the session shares the trace's
+/// span stats instead of copying them. The first failure is sticky:
 /// the rest of the feed is ignored and Finish returns it.
 class PipelineSession : public sim::ProvenanceSink {
  public:

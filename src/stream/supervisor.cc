@@ -18,38 +18,33 @@ using common::StatusOr;
 
 namespace {
 
-/// Sink that deep-copies the feed (records + span stats) into owned
-/// WalEntry storage for repeatable random access.
+/// Sink that keeps a copy of every feed record for repeatable random
+/// access. The records share their span stats with the trace, so the
+/// source holds the stats alive after the trace is gone.
 class CollectingSink : public sim::ProvenanceSink {
  public:
-  explicit CollectingSink(std::vector<WalEntry>* out) : out_(out) {}
+  explicit CollectingSink(std::vector<sim::ProvenanceRecord>* out)
+      : out_(out) {}
 
   void OnRecord(const sim::ProvenanceRecord& record) override {
-    WalEntry entry;
-    entry.seq = out_->size();
-    entry.record = record;
-    entry.record.span_stats = nullptr;  // re-wired by View()
-    if (record.span_stats != nullptr) {
-      entry.span_stats = *record.span_stats;
-    }
-    out_->push_back(std::move(entry));
+    out_->push_back(record);
   }
 
  private:
-  std::vector<WalEntry>* out_;
+  std::vector<sim::ProvenanceRecord>* out_;
 };
 
 }  // namespace
 
 TraceRecordSource::TraceRecordSource(const sim::PipelineTrace& trace) {
-  CollectingSink sink(&entries_);
+  CollectingSink sink(&records_);
   sim::ProvenanceFeeder feeder(&sink);
   feeder.Finish(trace);
 }
 
 const sim::ProvenanceRecord* TraceRecordSource::Get(uint64_t index) {
-  if (index >= entries_.size()) return nullptr;
-  return &entries_[static_cast<size_t>(index)].View();
+  if (index >= records_.size()) return nullptr;
+  return &records_[static_cast<size_t>(index)];
 }
 
 // --- DurableSession ---
@@ -112,7 +107,7 @@ StatusOr<DurableSession> DurableSession::Open(const DurableOptions& options) {
         " records but the replayable tail starts at seq " +
         std::to_string(wal->entries.front().seq));
   }
-  for (WalEntry& entry : wal->entries) {
+  for (const WalEntry& entry : wal->entries) {
     Status ingested = ds.session_->Ingest(entry.View());
     if (!ingested.ok()) {
       return Status(ingested.code(),

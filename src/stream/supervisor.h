@@ -52,18 +52,19 @@ class RecordSource {
   virtual const sim::ProvenanceRecord* Get(uint64_t index) = 0;
 };
 
-/// Owns a trace's full record sequence (records, span stats, span
-/// contexts deep-copied out of a ProvenanceFeeder pass) for repeatable
-/// random access.
+/// Owns a trace's full record sequence (the records of one
+/// ProvenanceFeeder pass, span contexts included) for repeatable random
+/// access. Span stats are shared with the trace, not copied; the source
+/// keeps them alive on its own.
 class TraceRecordSource : public RecordSource {
  public:
   explicit TraceRecordSource(const sim::PipelineTrace& trace);
 
-  uint64_t size() const override { return entries_.size(); }
+  uint64_t size() const override { return records_.size(); }
   const sim::ProvenanceRecord* Get(uint64_t index) override;
 
  private:
-  std::vector<WalEntry> entries_;  // owned records + span-stats copies
+  std::vector<sim::ProvenanceRecord> records_;
 };
 
 struct DurableOptions {

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -272,7 +273,6 @@ char TagOf(sim::ProvenanceRecord::Kind kind) {
 bool DecodePayload(char tag, Cursor payload, WalEntry* entry) {
   sim::ProvenanceRecord& record = entry->record;
   record = sim::ProvenanceRecord();
-  entry->span_stats.reset();
   switch (tag) {
     case 'C': {
       record.kind = sim::ProvenanceRecord::Kind::kContext;
@@ -316,8 +316,9 @@ bool DecodePayload(char tag, Cursor payload, WalEntry* entry) {
       }
       a.type = static_cast<metadata::ArtifactType>(type);
       if (has_stats != 0) {
-        entry->span_stats.emplace();
-        if (!ReadSpanStats(payload, &*entry->span_stats)) return false;
+        auto stats = std::make_shared<dataspan::SpanStats>();
+        if (!ReadSpanStats(payload, stats.get())) return false;
+        record.span_stats = std::move(stats);
       }
       break;
     }

@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,18 +76,14 @@ struct WalOptions {
 };
 
 /// One decoded WAL frame: an owned provenance record plus its global
-/// sequence number. `View()` returns the record with its span-stats
-/// pointer wired to the owned copy (the pointer cannot be stored in the
-/// struct directly — moves would dangle it).
+/// sequence number. An artifact frame's span stats are decoded once,
+/// into a fresh shared object the record holds, so a session that
+/// ingests the record keeps them after the entry is gone.
 struct WalEntry {
   uint64_t seq = 0;
   sim::ProvenanceRecord record;
-  std::optional<dataspan::SpanStats> span_stats;
 
-  const sim::ProvenanceRecord& View() {
-    record.span_stats = span_stats.has_value() ? &*span_stats : nullptr;
-    return record;
-  }
+  const sim::ProvenanceRecord& View() const { return record; }
 };
 
 /// Appends frames to the active segment of a WAL directory. Single

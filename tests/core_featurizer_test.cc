@@ -8,6 +8,7 @@
 // that platform.
 #include <cstdint>
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,6 +182,29 @@ TEST(WasteDatasetFingerprintTest, AdvanceOfChangedGraphletRecomputes) {
   featurizer.Advance(grown);
   for (size_t i = 3; i < g.size(); ++i) {
     ASSERT_EQ(featurizer.NextRow(g[i]), reference.NextRow(g[i])) << i;
+  }
+}
+
+TEST(GraphletFeaturizerTableTest, ByValueTableGivesBitIdenticalRows) {
+  // The by-value constructor feeds the same lookup as the shared table.
+  const Fixture& f = TestFixture();
+  for (const SegmentedPipeline& sp : f.segmented.pipelines) {
+    const sim::PipelineTrace& trace = f.train.pipelines[sp.pipeline_index];
+    std::unordered_map<metadata::ArtifactId, dataspan::SpanStats> by_value;
+    for (const auto& [id, stats] : trace.span_stats) {
+      by_value.emplace(id, *stats);
+    }
+    GraphletFeaturizer shared(&trace.store, &trace.span_stats);
+    GraphletFeaturizer owned(&trace.store, &by_value);
+    for (size_t i = 0; i < sp.graphlets.size(); ++i) {
+      const std::vector<double> want = shared.NextRow(sp.graphlets[i]);
+      const std::vector<double> got = owned.NextRow(sp.graphlets[i]);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(double)),
+                0)
+          << "pipeline " << sp.pipeline_index << " graphlet " << i;
+    }
   }
 }
 

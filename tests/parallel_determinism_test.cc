@@ -41,8 +41,8 @@ std::string RunFingerprint(const sim::Corpus& corpus,
           std::to_string(trace.config.num_features) + "\n";
     for (const auto& [artifact, stats] : trace.span_stats) {
       fp += "span " + std::to_string(artifact) + " " +
-            std::to_string(stats.span_number) + " " +
-            std::to_string(stats.NumFeatures()) + "\n";
+            std::to_string(stats->span_number) + " " +
+            std::to_string(stats->NumFeatures()) + "\n";
     }
   }
   for (const core::SegmentedPipeline& sp : segmented.pipelines) {

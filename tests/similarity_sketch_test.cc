@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/features.h"
 #include "dataspan/feature_stats.h"
 #include "dataspan/span_stats.h"
 #include "similarity/emd.h"
@@ -530,6 +531,51 @@ TEST(SequenceSimilarityExactTest, PositionalSequenceMatchesReferenceBits) {
       total / static_cast<double>(std::max(a.size(), b.size()));
   EXPECT_EQ(Bits(calc.SequenceSimilarity(a, keys_a, b, keys_b, true)),
             Bits(want));
+}
+
+/// Twelve generator spans of one schema, with a distribution shock before
+/// every third span.
+std::vector<SpanStats> ShockedSpans() {
+  dataspan::SchemaConfig config;
+  config.num_features = 20;
+  dataspan::SpanStatsGenerator gen(config, common::Rng(23));
+  std::vector<SpanStats> spans;
+  for (int i = 0; i < 12; ++i) {
+    if (i > 0 && i % 3 == 0) gen.Shock(1.0);
+    spans.push_back(gen.NextSpan());
+  }
+  return spans;
+}
+
+TEST(SpanPairCacheOrderTest, CachedValueIsIndependentOfArgumentOrder) {
+  // The EMD is not bitwise symmetric, so the cache must not keep
+  // whichever orientation a caller asked for first. Fresh calculators
+  // compute each pair instead of reading it back.
+  const std::vector<SpanStats> spans = ShockedSpans();
+  const FeatureSimilarityOptions configs[] = {
+      FeatureSimilarityOptions{},
+      core::FeatureOptions::CoarseSimilarity().feature_options};
+  for (const FeatureSimilarityOptions& options : configs) {
+    for (size_t i = 0; i < spans.size(); ++i) {
+      for (size_t j = i + 1; j < spans.size(); ++j) {
+        const auto ki = static_cast<int64_t>(i);
+        const auto kj = static_cast<int64_t>(j);
+        SpanSimilarityCalculator forward(options);
+        SpanSimilarityCalculator backward(options);
+        EXPECT_EQ(
+            Bits(forward.SpanPairSimilarityCached(ki, spans[i], kj, spans[j])),
+            Bits(backward.SpanPairSimilarityCached(kj, spans[j], ki,
+                                                   spans[i])))
+            << "soft " << options.soft_hash << " emd pair " << i << "," << j;
+        EXPECT_EQ(Bits(forward.PositionalSimilarityCached(ki, spans[i], kj,
+                                                          spans[j])),
+                  Bits(backward.PositionalSimilarityCached(kj, spans[j], ki,
+                                                           spans[i])))
+            << "soft " << options.soft_hash << " positional pair " << i << ","
+            << j;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ TEST(PipelineSimulatorTest, SpanStatsRecordedForEverySpan) {
       SimulatePipeline(corpus, BasicPipeline(13), CostModel());
   for (auto span : trace.store.ArtifactsOfType(ArtifactType::kExamples)) {
     ASSERT_TRUE(trace.span_stats.count(span));
-    EXPECT_GT(trace.span_stats.at(span).NumFeatures(), 0u);
+    EXPECT_GT(trace.span_stats.at(span)->NumFeatures(), 0u);
   }
 }
 

@@ -70,6 +70,12 @@ void ExpectStreamingMatchesBatch(const sim::Corpus& corpus) {
     EXPECT_EQ(metadata::SerializeStore(session.store()),
               metadata::SerializeStore(trace.store));
     EXPECT_EQ(session.span_stats().size(), trace.span_stats.size());
+    // Shared, not copied: the session holds the trace's own objects.
+    for (const auto& [id, stats] : trace.span_stats) {
+      const auto it = session.span_stats().find(id);
+      ASSERT_NE(it, session.span_stats().end()) << "span " << id;
+      EXPECT_EQ(it->second.get(), stats.get()) << "span " << id;
+    }
   }
 }
 

@@ -394,7 +394,7 @@ TEST(ShardDurableTest, DurableShardedRunMatchesInMemoryAndLaysOutDirs) {
   for (const ShardPipelineResult& slot : result->pipelines) {
     const fs::path expected = fs::path(dir) /
                               ("shard" + std::to_string(slot.shard)) /
-                              ("p" + std::to_string(slot.pipeline_id));
+                              ('p' + std::to_string(slot.pipeline_id));
     EXPECT_TRUE(fs::exists(expected)) << expected;
   }
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,8 +94,7 @@ std::vector<ProvenanceRecord> MakeFeed(size_t n) {
   return feed;
 }
 
-/// Span stats attached to artifact records of the feed (side storage so
-/// the borrowed pointer stays valid for the writer call).
+/// Span stats attached to artifact records of the feed.
 dataspan::SpanStats MakeStats(size_t i) {
   dataspan::SpanStats stats;
   stats.span_number = static_cast<int64_t>(i);
@@ -149,7 +149,8 @@ std::vector<ProvenanceRecord> WriteFeed(WalWriter& wal, size_t n,
   for (size_t i = 0; i < feed.size(); ++i) {
     if (feed[i].kind == ProvenanceRecord::Kind::kArtifact) {
       stats_storage.push_back(MakeStats(i));
-      feed[i].span_stats = &stats_storage.back();
+      feed[i].span_stats =
+          std::make_shared<const dataspan::SpanStats>(stats_storage.back());
     }
     EXPECT_TRUE(wal.Append(feed[i]).ok());
   }
@@ -190,21 +191,19 @@ TEST_F(StreamWalTest, RoundTripsEveryRecordShape) {
     WalEntry& entry = recovered->entries[i];
     EXPECT_EQ(entry.seq, i);
     EXPECT_TRUE(RecordsEqual(entry.View(), feed[i])) << "record " << i;
+    const dataspan::SpanStatsPtr& stats = entry.record.span_stats;
     if (feed[i].span_stats != nullptr) {
-      ASSERT_TRUE(entry.span_stats.has_value()) << "record " << i;
-      EXPECT_EQ(entry.span_stats->span_number, feed[i].span_stats->span_number);
-      ASSERT_EQ(entry.span_stats->features.size(),
-                feed[i].span_stats->features.size());
-      EXPECT_EQ(entry.span_stats->features[0].name,
-                feed[i].span_stats->features[0].name);
-      EXPECT_EQ(entry.span_stats->features[0].bins,
-                feed[i].span_stats->features[0].bins);
-      EXPECT_EQ(entry.span_stats->features[0].top_term_counts,
+      ASSERT_TRUE(stats != nullptr) << "record " << i;
+      EXPECT_EQ(stats->span_number, feed[i].span_stats->span_number);
+      ASSERT_EQ(stats->features.size(), feed[i].span_stats->features.size());
+      EXPECT_EQ(stats->features[0].name, feed[i].span_stats->features[0].name);
+      EXPECT_EQ(stats->features[0].bins, feed[i].span_stats->features[0].bins);
+      EXPECT_EQ(stats->features[0].top_term_counts,
                 feed[i].span_stats->features[0].top_term_counts);
-      EXPECT_EQ(entry.span_stats->features[0].unique_terms,
+      EXPECT_EQ(stats->features[0].unique_terms,
                 feed[i].span_stats->features[0].unique_terms);
     } else {
-      EXPECT_FALSE(entry.span_stats.has_value());
+      EXPECT_TRUE(stats == nullptr);
     }
   }
 }
