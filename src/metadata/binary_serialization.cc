@@ -21,26 +21,35 @@ void AppendVarint(std::string& out, uint64_t value) {
   out.push_back(static_cast<char>(value));
 }
 
-uint64_t ZigZagEncode(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^
-         static_cast<uint64_t>(value >> 63);
-}
-
-int64_t ZigZagDecode(uint64_t value) {
-  return static_cast<int64_t>((value >> 1) ^ (~(value & 1) + 1));
-}
-
 void AppendSvarint(std::string& out, int64_t value) {
   AppendVarint(out, ZigZagEncode(value));
+}
+
+void AppendDouble(std::string& out, double value) {
+  const auto bits = std::bit_cast<uint64_t>(value);
+  // One append call, not eight push_backs: the WAL encodes a frame per
+  // ingested record.
+  char buf[8];
+  for (int i = 0; i < 8; ++i) {
+    buf[i] = static_cast<char>((bits >> (8 * i)) & 0xFFu);
+  }
+  out.append(buf, sizeof(buf));
+}
+
+void AppendString(std::string& out, std::string_view value) {
+  AppendVarint(out, value.size());
+  out.append(value.data(), value.size());
 }
 
 }  // namespace binwire
 
 namespace {
 
+using binwire::AppendDouble;
+using binwire::AppendString;
 using binwire::AppendSvarint;
 using binwire::AppendVarint;
-using binwire::ZigZagDecode;
+using binwire::Reader;
 using common::Status;
 using common::StatusOr;
 
@@ -55,87 +64,6 @@ int64_t WrapSub(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) -
                               static_cast<uint64_t>(b));
 }
-
-void AppendDouble(std::string& out, double value) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-  }
-}
-
-/// Bounds-checked little-endian reader over a byte range. Every read
-/// reports failure instead of walking past `end`, and varints reject
-/// encodings wider than 64 bits — the two properties the corruption
-/// fuzzer leans on.
-struct Reader {
-  const uint8_t* p = nullptr;
-  const uint8_t* end = nullptr;
-
-  Reader() = default;
-  explicit Reader(std::string_view data)
-      : p(reinterpret_cast<const uint8_t*>(data.data())),
-        end(p + data.size()) {}
-
-  size_t remaining() const { return static_cast<size_t>(end - p); }
-  bool empty() const { return p >= end; }
-
-  bool Byte(uint8_t* out) {
-    if (p >= end) return false;
-    *out = *p++;
-    return true;
-  }
-
-  bool U64(uint64_t* out) {
-    uint64_t value = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (p >= end) return false;
-      const uint8_t b = *p++;
-      // The 10th byte may only carry the 64th bit; anything else is an
-      // overflowing (or non-canonical oversized) varint.
-      if (shift == 63 && (b & ~uint8_t{1}) != 0) return false;
-      value |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) {
-        *out = value;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool S64(int64_t* out) {
-    uint64_t raw = 0;
-    if (!U64(&raw)) return false;
-    *out = ZigZagDecode(raw);
-    return true;
-  }
-
-  bool View(size_t n, std::string_view* out) {
-    if (remaining() < n) return false;
-    *out = std::string_view(reinterpret_cast<const char*>(p), n);
-    p += n;
-    return true;
-  }
-
-  bool Double(double* out) {
-    if (remaining() < 8) return false;
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(p[i]) << (8 * i);
-    }
-    p += 8;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-
-  /// Reads a framed column: varint byte length + that many bytes.
-  bool Column(std::string_view* out) {
-    uint64_t len = 0;
-    if (!U64(&len) || len > remaining()) return false;
-    return View(static_cast<size_t>(len), out);
-  }
-};
 
 bool Bit(const uint8_t* bitmap, size_t index) {
   return (bitmap[index >> 3] >> (index & 7)) & 1;
@@ -159,8 +87,7 @@ struct Interner {
 };
 
 void AppendColumn(std::string& section, std::string& column) {
-  AppendVarint(section, column.size());
-  section.append(column);
+  AppendString(section, column);
   column.clear();
 }
 
@@ -216,10 +143,7 @@ void BuildContextSection(const MetadataStore& store, Interner& intern,
 
 void BuildInternSection(const Interner& intern, std::string* payload) {
   AppendVarint(*payload, intern.table.size());
-  for (const std::string_view s : intern.table) {
-    AppendVarint(*payload, s.size());
-    payload->append(s);
-  }
+  for (const std::string_view s : intern.table) AppendString(*payload, s);
 }
 
 void BuildArtifactSection(const MetadataStore& store, std::string* payload) {
@@ -411,9 +335,7 @@ class StoreDecoder {
     interns_.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
       std::string_view s;
-      uint64_t len = 0;
-      if (!r.U64(&len) || len > r.remaining() ||
-          !r.View(static_cast<size_t>(len), &s)) {
+      if (!r.Column(&s)) {
         return Status::InvalidArgument("intern table truncated");
       }
       interns_.emplace_back(s);
@@ -743,9 +665,7 @@ StatusOr<MetadataStore> ParseBinary(std::string_view data, bool lenient,
   while (!r.empty()) {
     uint8_t tag = 0;
     std::string_view payload;
-    uint64_t len = 0;
-    if (!r.Byte(&tag) || !r.U64(&len) || len > r.remaining() ||
-        !r.View(static_cast<size_t>(len), &payload)) {
+    if (!r.Byte(&tag) || !r.Column(&payload)) {
       if (lenient) {
         // A broken frame loses the rest of the file; keep the salvage.
         if (stats != nullptr) ++stats->malformed_lines;
@@ -905,19 +825,10 @@ common::StatusOr<BinaryStoreCursor> BinaryStoreCursor::Open(
   Reader r(data);
   MLPROV_RETURN_IF_ERROR(CheckMagic(r));
   BinaryStoreCursor cursor;
-  auto range = [](std::string_view col) {
-    Reader inner(col);
-    Range out;
-    out.p = inner.p;
-    out.end = inner.end;
-    return out;
-  };
   for (const char expected : kSectionOrder) {
     uint8_t tag = 0;
-    uint64_t len = 0;
     std::string_view payload;
-    if (!r.Byte(&tag) || !r.U64(&len) || len > r.remaining() ||
-        !r.View(static_cast<size_t>(len), &payload)) {
+    if (!r.Byte(&tag) || !r.Column(&payload)) {
       return Status::InvalidArgument("section framing corrupt");
     }
     if (static_cast<char>(tag) != expected) {
@@ -934,10 +845,8 @@ common::StatusOr<BinaryStoreCursor> BinaryStoreCursor::Open(
         }
         cursor.interns_.reserve(static_cast<size_t>(n));
         for (uint64_t i = 0; i < n; ++i) {
-          uint64_t slen = 0;
           std::string_view s;
-          if (!section.U64(&slen) || slen > section.remaining() ||
-              !section.View(static_cast<size_t>(slen), &s)) {
+          if (!section.Column(&s)) {
             return Status::InvalidArgument("intern table truncated");
           }
           cursor.interns_.emplace_back(s);
@@ -951,8 +860,8 @@ common::StatusOr<BinaryStoreCursor> BinaryStoreCursor::Open(
           return Status::InvalidArgument("artifact section corrupt");
         }
         cursor.n_artifacts_ = static_cast<size_t>(n);
-        cursor.a_types_ = range(types);
-        cursor.a_times_ = range(times);
+        cursor.a_types_ = Reader(types);
+        cursor.a_times_ = Reader(times);
         break;
       }
       case 'E': {
@@ -965,10 +874,10 @@ common::StatusOr<BinaryStoreCursor> BinaryStoreCursor::Open(
           return Status::InvalidArgument("execution section corrupt");
         }
         cursor.n_executions_ = static_cast<size_t>(n);
-        cursor.e_types_ = range(types);
-        cursor.e_starts_ = range(starts);
-        cursor.e_durs_ = range(durs);
-        cursor.e_costs_ = range(costs);
+        cursor.e_types_ = Reader(types);
+        cursor.e_starts_ = Reader(starts);
+        cursor.e_durs_ = Reader(durs);
+        cursor.e_costs_ = Reader(costs);
         cursor.e_succ_ = reinterpret_cast<const uint8_t*>(succ.data());
         break;
       }
@@ -984,9 +893,9 @@ common::StatusOr<BinaryStoreCursor> BinaryStoreCursor::Open(
           return Status::InvalidArgument("event section corrupt");
         }
         cursor.n_events_ = static_cast<size_t>(n);
-        cursor.v_execs_ = range(execs);
-        cursor.v_arts_ = range(arts);
-        cursor.v_times_ = range(times);
+        cursor.v_execs_ = Reader(execs);
+        cursor.v_arts_ = Reader(arts);
+        cursor.v_times_ = Reader(times);
         cursor.v_kinds_ = reinterpret_cast<const uint8_t*>(kinds.data());
         break;
       }
@@ -998,10 +907,10 @@ common::StatusOr<BinaryStoreCursor> BinaryStoreCursor::Open(
         }
         if (expected == 'p') {
           cursor.n_aprops_ = static_cast<size_t>(n);
-          cursor.aprop_rows_ = range(rows);
+          cursor.aprop_rows_ = Reader(rows);
         } else {
           cursor.n_eprops_ = static_cast<size_t>(n);
-          cursor.eprop_rows_ = range(rows);
+          cursor.eprop_rows_ = Reader(rows);
         }
         break;
       }
@@ -1058,10 +967,7 @@ common::StatusOr<BinaryStoreCursor> BinaryStoreCursor::Open(
   return cursor;
 }
 
-bool BinaryStoreCursor::DecodePropAhead(Range& rows,
-                                        PendingProp& pending) {
-  Reader r(std::string_view(reinterpret_cast<const char*>(rows.p),
-                            static_cast<size_t>(rows.end - rows.p)));
+bool BinaryStoreCursor::DecodePropAhead(Reader& r, PendingProp& pending) {
   uint64_t id_delta = 0, key_idx = 0;
   uint8_t value_tag = 0;
   if (!r.U64(&id_delta) || !r.U64(&key_idx) || !r.Byte(&value_tag)) {
@@ -1099,14 +1005,13 @@ bool BinaryStoreCursor::DecodePropAhead(Range& rows,
     default:
       return Fail("unknown property value tag");
   }
-  rows.p = r.p;
   pending.valid = true;
   pending.id = id;
   pending.ref = ref;
   return true;
 }
 
-bool BinaryStoreCursor::GatherProps(Range& rows, PendingProp& pending,
+bool BinaryStoreCursor::GatherProps(Reader& rows, PendingProp& pending,
                                     int64_t id) {
   scratch_props_.clear();
   size_t& seen = (&rows == &aprop_rows_) ? aprops_seen_ : eprops_seen_;
@@ -1142,29 +1047,17 @@ bool BinaryStoreCursor::EmitContext(RecordRef* record) {
 }
 
 bool BinaryStoreCursor::EmitExecution(RecordRef* record) {
-  if (e_types_.empty()) return Fail("execution types truncated");
-  const uint8_t type = *e_types_.p++;
+  uint8_t type = 0;
+  if (!e_types_.Byte(&type)) return Fail("execution types truncated");
   if (type >= kNumExecutionTypes) {
     return Fail("execution type out of range");
   }
-  Reader starts(std::string_view(
-      reinterpret_cast<const char*>(e_starts_.p),
-      static_cast<size_t>(e_starts_.end - e_starts_.p)));
-  Reader durs(std::string_view(
-      reinterpret_cast<const char*>(e_durs_.p),
-      static_cast<size_t>(e_durs_.end - e_durs_.p)));
-  Reader costs(std::string_view(
-      reinterpret_cast<const char*>(e_costs_.p),
-      static_cast<size_t>(e_costs_.end - e_costs_.p)));
   int64_t start_delta = 0, dur = 0;
   double cost = 0.0;
-  if (!starts.S64(&start_delta) || !durs.S64(&dur) ||
-      !costs.Double(&cost)) {
+  if (!e_starts_.S64(&start_delta) || !e_durs_.S64(&dur) ||
+      !e_costs_.Double(&cost)) {
     return Fail("execution columns truncated");
   }
-  e_starts_.p = starts.p;
-  e_durs_.p = durs.p;
-  e_costs_.p = costs.p;
   e_prev_start_ = WrapAdd(e_prev_start_, start_delta);
   const int64_t id = next_execution_;
   if (!GatherProps(eprop_rows_, pending_eprop_, id)) return false;
@@ -1183,17 +1076,13 @@ bool BinaryStoreCursor::EmitExecution(RecordRef* record) {
 }
 
 bool BinaryStoreCursor::EmitArtifact(RecordRef* record) {
-  if (a_types_.empty()) return Fail("artifact types truncated");
-  const uint8_t type = *a_types_.p++;
+  uint8_t type = 0;
+  if (!a_types_.Byte(&type)) return Fail("artifact types truncated");
   if (type >= kNumArtifactTypes) {
     return Fail("artifact type out of range");
   }
-  Reader times(std::string_view(
-      reinterpret_cast<const char*>(a_times_.p),
-      static_cast<size_t>(a_times_.end - a_times_.p)));
   int64_t delta = 0;
-  if (!times.S64(&delta)) return Fail("artifact times truncated");
-  a_times_.p = times.p;
+  if (!a_times_.S64(&delta)) return Fail("artifact times truncated");
   a_prev_time_ = WrapAdd(a_prev_time_, delta);
   const int64_t id = next_artifact_;
   if (!GatherProps(aprop_rows_, pending_aprop_, id)) return false;
@@ -1209,22 +1098,10 @@ bool BinaryStoreCursor::EmitArtifact(RecordRef* record) {
 }
 
 bool BinaryStoreCursor::DecodeEventAhead() {
-  Reader execs(std::string_view(
-      reinterpret_cast<const char*>(v_execs_.p),
-      static_cast<size_t>(v_execs_.end - v_execs_.p)));
-  Reader arts(std::string_view(
-      reinterpret_cast<const char*>(v_arts_.p),
-      static_cast<size_t>(v_arts_.end - v_arts_.p)));
-  Reader times(std::string_view(
-      reinterpret_cast<const char*>(v_times_.p),
-      static_cast<size_t>(v_times_.end - v_times_.p)));
   int64_t de = 0, da = 0, dt = 0;
-  if (!execs.S64(&de) || !arts.S64(&da) || !times.S64(&dt)) {
+  if (!v_execs_.S64(&de) || !v_arts_.S64(&da) || !v_times_.S64(&dt)) {
     return Fail("event columns truncated");
   }
-  v_execs_.p = execs.p;
-  v_arts_.p = arts.p;
-  v_times_.p = times.p;
   v_prev_exec_ = WrapAdd(v_prev_exec_, de);
   v_prev_art_ = WrapAdd(v_prev_art_, da);
   v_prev_time_ = WrapAdd(v_prev_time_, dt);

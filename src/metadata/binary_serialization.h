@@ -45,6 +45,7 @@
 /// reader can locate column boundaries in O(1) and the lenient reader
 /// can skip a damaged section wholesale using the section length.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -100,6 +101,106 @@ common::StatusOr<MetadataStore> DeserializeStoreBinaryLenient(
 common::Status SaveStoreBinary(const MetadataStore& store,
                                std::ostream& out);
 common::StatusOr<MetadataStore> LoadStoreBinary(std::istream& in);
+
+/// The wire vocabulary MLPB shares with the WAL and checkpoint formats
+/// (src/stream/wal.h, src/stream/checkpoint.h), exposed so tests (the
+/// corruption fuzzers) can craft hostile payloads byte by byte.
+namespace binwire {
+
+void AppendVarint(std::string& out, uint64_t value);
+void AppendSvarint(std::string& out, int64_t value);
+/// 8 raw little-endian bytes of the IEEE bit pattern.
+void AppendDouble(std::string& out, double value);
+/// Varint byte length + bytes: a framed column or a string.
+void AppendString(std::string& out, std::string_view value);
+
+inline uint64_t ZigZagEncode(int64_t value) {
+  return (static_cast<uint64_t>(value) << 1) ^
+         static_cast<uint64_t>(value >> 63);
+}
+
+inline int64_t ZigZagDecode(uint64_t value) {
+  return static_cast<int64_t>((value >> 1) ^ (~(value & 1) + 1));
+}
+
+/// Bounds-checked little-endian reader over a byte range. Every read
+/// reports failure instead of walking past `end`, and varints reject
+/// encodings wider than 64 bits — the two properties the corruption
+/// fuzzers lean on.
+struct Reader {
+  const uint8_t* p = nullptr;
+  const uint8_t* end = nullptr;
+
+  Reader() = default;
+  explicit Reader(std::string_view data)
+      : p(reinterpret_cast<const uint8_t*>(data.data())),
+        end(p + data.size()) {}
+
+  size_t remaining() const { return static_cast<size_t>(end - p); }
+  bool empty() const { return p >= end; }
+
+  bool Byte(uint8_t* out) {
+    if (p >= end) return false;
+    *out = *p++;
+    return true;
+  }
+
+  /// LEB128, at most 10 bytes. Continuation bytes that add zero bits
+  /// are accepted (the WAL pads its length varints with 0x80). Does not
+  /// advance on failure.
+  bool U64(uint64_t* out) {
+    uint64_t value = 0;
+    const uint8_t* q = p;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (q >= end) return false;
+      const uint8_t b = *q++;
+      // The 10th byte may only carry the 64th bit; anything else is an
+      // overflowing (or non-canonical oversized) varint.
+      if (shift == 63 && (b & ~uint8_t{1}) != 0) return false;
+      value |= static_cast<uint64_t>(b & 0x7F) << shift;
+      if ((b & 0x80) == 0) {
+        p = q;
+        *out = value;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  bool S64(int64_t* out) {
+    uint64_t raw = 0;
+    if (!U64(&raw)) return false;
+    *out = ZigZagDecode(raw);
+    return true;
+  }
+
+  bool View(size_t n, std::string_view* out) {
+    if (remaining() < n) return false;
+    *out = std::string_view(reinterpret_cast<const char*>(p), n);
+    p += n;
+    return true;
+  }
+
+  bool Double(double* out) {
+    if (remaining() < 8) return false;
+    uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i) {
+      bits |= static_cast<uint64_t>(p[i]) << (8 * i);
+    }
+    p += 8;
+    *out = std::bit_cast<double>(bits);
+    return true;
+  }
+
+  /// Reads what AppendString wrote: varint byte length + that many bytes.
+  bool Column(std::string_view* out) {
+    uint64_t len = 0;
+    if (!U64(&len) || len > remaining()) return false;
+    return View(static_cast<size_t>(len), out);
+  }
+};
+
+}  // namespace binwire
 
 /// One element of the zero-copy record feed decoded by
 /// BinaryStoreCursor: a flattened, borrowed view of a provenance record.
@@ -163,11 +264,6 @@ class BinaryStoreCursor {
  private:
   BinaryStoreCursor() = default;
 
-  struct Range {
-    const uint8_t* p = nullptr;
-    const uint8_t* end = nullptr;
-    bool empty() const { return p >= end; }
-  };
   /// Decoded-ahead property row (ids are needed before emission to know
   /// which node the row belongs to).
   struct PendingProp {
@@ -182,10 +278,11 @@ class BinaryStoreCursor {
   bool EmitArtifact(RecordRef* record);
   bool EmitEvent(RecordRef* record);
   bool DecodeEventAhead();  // fills pending_event_
-  bool DecodePropAhead(Range& rows, PendingProp& pending);
+  bool DecodePropAhead(binwire::Reader& rows, PendingProp& pending);
   /// Collects pending + following property rows for node `id` into
   /// scratch_props_.
-  bool GatherProps(Range& rows, PendingProp& pending, int64_t id);
+  bool GatherProps(binwire::Reader& rows, PendingProp& pending,
+                   int64_t id);
 
   common::Status status_;
   std::vector<std::string_view> interns_;
@@ -196,12 +293,12 @@ class BinaryStoreCursor {
   size_t n_aprops_ = 0, n_eprops_ = 0;
 
   // Column cursors (views into the corpus buffer).
-  Range a_types_, a_times_;
-  Range e_types_, e_starts_, e_durs_, e_costs_;
+  binwire::Reader a_types_, a_times_;
+  binwire::Reader e_types_, e_starts_, e_durs_, e_costs_;
   const uint8_t* e_succ_ = nullptr;  // bitmap, random access by row
-  Range v_execs_, v_arts_, v_times_;
+  binwire::Reader v_execs_, v_arts_, v_times_;
   const uint8_t* v_kinds_ = nullptr;
-  Range aprop_rows_, eprop_rows_;
+  binwire::Reader aprop_rows_, eprop_rows_;
 
   // Feed state: next ids to emit and running delta accumulators.
   size_t next_context_ = 0;
@@ -218,14 +315,6 @@ class BinaryStoreCursor {
   std::vector<PropertyRef> scratch_props_;
 };
 
-/// Low-level wire helpers, exposed so tests (the corruption fuzzer) can
-/// craft hostile payloads byte by byte.
-namespace binwire {
-void AppendVarint(std::string& out, uint64_t value);
-void AppendSvarint(std::string& out, int64_t value);
-uint64_t ZigZagEncode(int64_t value);
-int64_t ZigZagDecode(uint64_t value);
-}  // namespace binwire
 
 }  // namespace mlprov::metadata
 

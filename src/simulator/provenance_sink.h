@@ -19,6 +19,7 @@
 ///    and the feeder flushes at trigger boundaries).
 
 #include <cstddef>
+#include <cstdint>
 
 #include "dataspan/span_stats.h"
 #include "metadata/metadata_store.h"
@@ -78,13 +79,27 @@ class ProvenanceFeeder {
   /// Flush plus the trailing nodes no event ever referenced.
   void Finish(const PipelineTrace& trace);
 
+  /// The whole walk over a bare store, e.g. one deserialized from a
+  /// corpus file. A bare store has no span stats and no span contexts,
+  /// so its records carry neither; otherwise the feed is the trace's.
+  void Finish(const metadata::MetadataStore& store);
+
   size_t records_emitted() const { return records_emitted_; }
 
  private:
-  void EmitExecutionsUpTo(const PipelineTrace& trace,
-                          metadata::ExecutionId id);
-  void EmitArtifactsUpTo(const PipelineTrace& trace,
-                         metadata::ArtifactId id);
+  /// What the walk reads: a store and its side tables. Null span stats
+  /// and trace id 0 (obs::DeriveTraceId never returns 0) mean none.
+  struct Source {
+    const metadata::MetadataStore& store;
+    const dataspan::SpanStatsTable* span_stats = nullptr;
+    uint64_t trace_id = 0;
+  };
+  static Source SourceOf(const PipelineTrace& trace);
+
+  /// Flush, plus the trailing nodes when `finish`.
+  void Emit(const Source& source, bool finish);
+  void EmitExecutionsUpTo(const Source& source, metadata::ExecutionId id);
+  void EmitArtifactsUpTo(const Source& source, metadata::ArtifactId id);
 
   ProvenanceSink* sink_;
   size_t next_context_ = 0;

@@ -26,25 +26,12 @@ namespace mlprov::stream {
 namespace fs = std::filesystem;
 using common::Status;
 using common::StatusOr;
+using metadata::binwire::AppendString;
 using metadata::binwire::AppendSvarint;
 using metadata::binwire::AppendVarint;
+using metadata::binwire::Reader;
 
 namespace {
-
-void AppendBlob(std::string& out, std::string_view blob) {
-  AppendVarint(out, blob.size());
-  out.append(blob);
-}
-
-bool ReadBlobView(walwire::Cursor& in, std::string_view* blob) {
-  uint64_t length = 0;
-  if (!walwire::ReadVarint(in, &length)) return false;
-  if (length > in.remaining()) return false;
-  *blob = std::string_view(reinterpret_cast<const char*>(in.p),
-                           static_cast<size_t>(length));
-  in.p += length;
-  return true;
-}
 
 Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("checkpoint payload: " + what);
@@ -55,7 +42,7 @@ Status Corrupt(const std::string& what) {
 // --- ProvenanceSession state ---
 
 void ProvenanceSession::EncodeState(std::string& out) const {
-  AppendBlob(out, metadata::SerializeStoreBinary(store_));
+  AppendString(out, metadata::SerializeStoreBinary(store_));
   // Span stats sorted by artifact id: deterministic bytes regardless of
   // hash-map iteration order, and the order replay attaches them in.
   std::vector<metadata::ArtifactId> span_ids;
@@ -67,7 +54,7 @@ void ProvenanceSession::EncodeState(std::string& out) const {
     AppendSvarint(out, id);
     walwire::AppendSpanStats(out, *span_stats_.at(id));
   }
-  AppendBlob(out, arrivals_);
+  AppendString(out, arrivals_);
   AppendVarint(out, trace_id_);
   out.push_back(options_.scorer != nullptr ? 1 : 0);
 }
@@ -77,16 +64,16 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
     return Status::FailedPrecondition(
         "RestoreState requires a freshly constructed session");
   }
-  walwire::Cursor in(payload);
+  Reader in(payload);
   std::string_view store_blob;
-  if (!ReadBlobView(in, &store_blob)) return Corrupt("store blob");
+  if (!in.Column(&store_blob)) return Corrupt("store blob");
   StatusOr<metadata::MetadataStore> store =
       metadata::DeserializeStoreBinary(store_blob);
   if (!store.ok()) {
     return Corrupt("store: " + store.status().message());
   }
   uint64_t count = 0;
-  if (!walwire::ReadVarint(in, &count) || count > in.remaining()) {
+  if (!in.U64(&count) || count > in.remaining()) {
     return Corrupt("span-stats count");
   }
   // Each span's stats are decoded once, into the shared object the
@@ -95,8 +82,7 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
   for (uint64_t i = 0; i < count; ++i) {
     metadata::ArtifactId id = 0;
     auto stats = std::make_shared<dataspan::SpanStats>();
-    if (!walwire::ReadSvarint(in, &id) ||
-        !walwire::ReadSpanStats(in, stats.get())) {
+    if (!in.S64(&id) || !walwire::ReadSpanStats(in, stats.get())) {
       return Corrupt("span stats");
     }
     spans.emplace_back(id, std::move(stats));
@@ -104,9 +90,9 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
   std::string_view arrivals;
   uint64_t trace_id = 0;
   uint8_t has_scorer = 0;
-  if (!ReadBlobView(in, &arrivals)) return Corrupt("arrival order");
-  if (!walwire::ReadVarint(in, &trace_id)) return Corrupt("trace id");
-  if (!walwire::ReadByte(in, &has_scorer) || has_scorer > 1) {
+  if (!in.Column(&arrivals)) return Corrupt("arrival order");
+  if (!in.U64(&trace_id)) return Corrupt("trace id");
+  if (!in.Byte(&has_scorer) || has_scorer > 1) {
     return Corrupt("scorer flag");
   }
   if (in.remaining() != 0) return Corrupt("trailing bytes");
@@ -321,12 +307,10 @@ StatusOr<RecoveredCheckpoint> LoadNewestCheckpoint(const std::string& dir) {
                  std::memcmp(bytes.data(), kCheckpointMagic, 4) == 0 &&
                  static_cast<uint8_t>(bytes[4]) == kCheckpointVersion;
     uint64_t records = 0;
-    walwire::Cursor cursor(
-        std::string_view(bytes).substr(0, bytes.size() - 4));
+    Reader cursor(std::string_view(bytes).substr(0, bytes.size() - 4));
     if (valid) {
       cursor.p += 5;
-      valid = walwire::ReadVarint(cursor, &records) &&
-              records == it->records;
+      valid = cursor.U64(&records) && records == it->records;
     }
     if (valid) {
       uint32_t stored = 0;

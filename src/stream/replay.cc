@@ -11,70 +11,10 @@ common::Status ReplayTrace(const sim::PipelineTrace& trace,
   return session.status();
 }
 
-namespace {
-
-/// Feed-order walk over a bare store, mirroring ProvenanceFeeder (which
-/// requires a PipelineTrace): contexts first, then each event in put
-/// order preceded by the unemitted nodes with ids up to its endpoints,
-/// then the trailing nodes.
-struct StoreFeed {
-  const metadata::MetadataStore& store;
-  ProvenanceSession& session;
-  metadata::ExecutionId next_execution = 1;
-  metadata::ArtifactId next_artifact = 1;
-
-  void EmitExecutionsUpTo(metadata::ExecutionId id) {
-    const auto& executions = store.executions();
-    while (next_execution <= id &&
-           static_cast<size_t>(next_execution) <= executions.size()) {
-      sim::ProvenanceRecord record;
-      record.kind = sim::ProvenanceRecord::Kind::kExecution;
-      record.execution = executions[static_cast<size_t>(next_execution) - 1];
-      ++next_execution;
-      session.OnRecord(record);
-    }
-  }
-
-  void EmitArtifactsUpTo(metadata::ArtifactId id) {
-    const auto& artifacts = store.artifacts();
-    while (next_artifact <= id &&
-           static_cast<size_t>(next_artifact) <= artifacts.size()) {
-      sim::ProvenanceRecord record;
-      record.kind = sim::ProvenanceRecord::Kind::kArtifact;
-      record.artifact = artifacts[static_cast<size_t>(next_artifact) - 1];
-      ++next_artifact;
-      session.OnRecord(record);
-    }
-  }
-};
-
-}  // namespace
-
 common::Status ReplayStore(const metadata::MetadataStore& store,
                            ProvenanceSession& session) {
-  StoreFeed feed{store, session};
-  for (const metadata::Context& c : store.contexts()) {
-    sim::ProvenanceRecord record;
-    record.kind = sim::ProvenanceRecord::Kind::kContext;
-    record.context = c;
-    // Membership is re-accumulated by the session as nodes arrive.
-    record.context.executions.clear();
-    record.context.artifacts.clear();
-    session.OnRecord(record);
-  }
-  for (const metadata::Event& event : store.events()) {
-    feed.EmitExecutionsUpTo(event.execution);
-    feed.EmitArtifactsUpTo(event.artifact);
-    sim::ProvenanceRecord record;
-    record.kind = sim::ProvenanceRecord::Kind::kEvent;
-    record.event = event;
-    session.OnRecord(record);
-    if (!session.status().ok()) return session.status();
-  }
-  feed.EmitExecutionsUpTo(
-      static_cast<metadata::ExecutionId>(store.num_executions()));
-  feed.EmitArtifactsUpTo(
-      static_cast<metadata::ArtifactId>(store.num_artifacts()));
+  sim::ProvenanceFeeder feeder(&session);
+  feeder.Finish(store);
   return session.status();
 }
 

@@ -20,9 +20,9 @@ common::Status ReplayTrace(const sim::PipelineTrace& trace,
                            ProvenanceSession& session);
 
 /// Feeds every record of a bare metadata store — e.g. one deserialized
-/// from a text corpus file — into `session` in the same feed order
-/// ProvenanceFeeder produces. Serialized stores carry no span stats or
-/// span contexts, so the resulting analysis is byte-identical to the
+/// from a text corpus file — into `session` through ProvenanceFeeder's
+/// walk over the store. Serialized stores carry no span stats or span
+/// contexts, so the resulting analysis is byte-identical to the
 /// zero-copy binary feed (BinaryStoreCursor + Ingest(RecordRef)) over
 /// the same corpus.
 common::Status ReplayStore(const metadata::MetadataStore& store,

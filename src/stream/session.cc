@@ -11,6 +11,7 @@
 #include "obs/span_context.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "stream/wal.h"
 
 namespace mlprov::stream {
 
@@ -19,24 +20,89 @@ using sim::ProvenanceRecord;
 
 namespace {
 
-/// Arrival-log tag of a record kind; both feed vocabularies name their
-/// kinds alike.
-template <typename Kind>
-char ArrivalTag(Kind kind) {
-  switch (kind) {
-    case Kind::kContext:
-      return 'C';
-    case Kind::kExecution:
-      return 'E';
-    case Kind::kArtifact:
-      return 'A';
-    case Kind::kEvent:
-      return 'V';
+// The two record forms differ in three places, each an overload pair
+// here: the node id a record claims, how its node enters the store, and
+// the side tables (span stats, span context) a RecordRef does not carry.
+// Everything else is one body, ProvenanceSession::IngestImpl.
+
+/// The node id a context, execution or artifact record claims.
+int64_t NodeId(const ProvenanceRecord& record) {
+  switch (record.kind) {
+    case ProvenanceRecord::Kind::kContext:
+      return record.context.id;
+    case ProvenanceRecord::Kind::kExecution:
+      return record.execution.id;
+    case ProvenanceRecord::Kind::kArtifact:
+      return record.artifact.id;
+    case ProvenanceRecord::Kind::kEvent:
+      break;
   }
-  return '?';
+  return metadata::kInvalidId;
+}
+
+int64_t NodeId(const metadata::RecordRef& record) { return record.id; }
+
+/// Puts the record's node into `store` and returns the id it assigned:
+/// an owned record's node is copied, a view's is filled from its views.
+int64_t PutNode(metadata::MetadataStore& store,
+                const ProvenanceRecord& record) {
+  switch (record.kind) {
+    case ProvenanceRecord::Kind::kContext:
+      return store.PutContext(record.context);
+    case ProvenanceRecord::Kind::kExecution:
+      return store.PutExecution(record.execution);
+    case ProvenanceRecord::Kind::kArtifact:
+      return store.PutArtifact(record.artifact);
+    case ProvenanceRecord::Kind::kEvent:
+      break;
+  }
+  return metadata::kInvalidId;
+}
+
+int64_t PutNode(metadata::MetadataStore& store,
+                const metadata::RecordRef& record) {
+  switch (record.kind) {
+    case metadata::RecordRef::Kind::kContext:
+      return store.PutContextBorrowed(record.context_name);
+    case metadata::RecordRef::Kind::kExecution:
+      return store.PutExecutionBorrowed(
+          record.execution_type, record.start_time, record.end_time,
+          record.succeeded, record.compute_cost, record.properties);
+    case metadata::RecordRef::Kind::kArtifact:
+      return store.PutArtifactBorrowed(record.artifact_type,
+                                       record.create_time, record.properties);
+    case metadata::RecordRef::Kind::kEvent:
+      break;
+  }
+  return metadata::kInvalidId;
+}
+
+/// Side table: an artifact record's span stats (none in a view).
+const dataspan::SpanStatsPtr& SpanStatsOf(const ProvenanceRecord& record) {
+  return record.span_stats;
+}
+
+const dataspan::SpanStatsPtr& SpanStatsOf(const metadata::RecordRef&) {
+  static const dataspan::SpanStatsPtr kNone;
+  return kNone;
+}
+
+Status OutOfOrder(const char* node, int64_t claimed, int64_t expected) {
+  return Status::InvalidArgument(std::string(node) + " id " +
+                                 std::to_string(claimed) +
+                                 " out of order (expected " +
+                                 std::to_string(expected) + ")");
 }
 
 #ifndef MLPROV_OBS_NOOP
+/// Side table: an execution record's causal span context (invalid in a
+/// view).
+obs::SpanContext SpanOf(const ProvenanceRecord& record) {
+  return record.span;
+}
+
+obs::SpanContext SpanOf(const metadata::RecordRef&) { return {}; }
+
 /// One-letter flight-recorder tag + (id, time) of a feed record.
 struct RecordDigest {
   char kind = '?';
@@ -88,6 +154,15 @@ ProvenanceSession::ProvenanceSession(const SessionOptions& options)
 }
 
 Status ProvenanceSession::Ingest(const ProvenanceRecord& record) {
+  return IngestSticky(record);
+}
+
+Status ProvenanceSession::Ingest(const metadata::RecordRef& record) {
+  return IngestSticky(record);
+}
+
+template <typename Record>
+Status ProvenanceSession::IngestSticky(const Record& record) {
   if (finished_) {
     return Status::FailedPrecondition(
         "ProvenanceSession: record ingested after Finish()");
@@ -95,7 +170,7 @@ Status ProvenanceSession::Ingest(const ProvenanceRecord& record) {
   if (!status_.ok()) return status_;  // poisoned: first violation is sticky
   Status status = IngestImpl(record);
   if (status.ok()) {
-    arrivals_.push_back(ArrivalTag(record.kind));
+    arrivals_.push_back(walwire::FrameTag(record.kind));
   } else {
     status_ = status;
     RecordPoisoning(record);
@@ -106,7 +181,8 @@ Status ProvenanceSession::Ingest(const ProvenanceRecord& record) {
   return status;
 }
 
-void ProvenanceSession::RecordPoisoning(const ProvenanceRecord& record) {
+template <typename Record>
+void ProvenanceSession::RecordPoisoning(const Record& record) {
 #ifndef MLPROV_OBS_NOOP
   const RecordDigest digest = DigestOf(record);
   obs::Json violating = obs::Json::Object();
@@ -124,7 +200,9 @@ void ProvenanceSession::RecordPoisoning(const ProvenanceRecord& record) {
 #endif
 }
 
-Status ProvenanceSession::IngestImpl(const ProvenanceRecord& record) {
+template <typename Record>
+Status ProvenanceSession::IngestImpl(const Record& record) {
+  using Kind = typename Record::Kind;
   ++counts_.records;
   MLPROV_COUNTER_INC("stream.records");
   MLPROV_SAMPLER_OBSERVE(1);
@@ -134,76 +212,74 @@ Status ProvenanceSession::IngestImpl(const ProvenanceRecord& record) {
     flight_.NoteRecord(digest.kind, digest.id, digest.time);
   }
 #endif
+  // The index and the segmenter read each node from the store, whichever
+  // form it arrived in.
   switch (record.kind) {
-    case ProvenanceRecord::Kind::kContext: {
-      metadata::ContextId assigned = store_.PutContext(record.context);
-      if (record.context.id != metadata::kInvalidId &&
-          record.context.id != assigned) {
-        return Status::InvalidArgument(
-            "context id " + std::to_string(record.context.id) +
-            " out of order (expected " + std::to_string(assigned) + ")");
+    case Kind::kContext: {
+      const metadata::ContextId assigned = PutNode(store_, record);
+      if (NodeId(record) != metadata::kInvalidId &&
+          NodeId(record) != assigned) {
+        return OutOfOrder("context", NodeId(record), assigned);
       }
       context_ = assigned;
       ++counts_.contexts;
       return Status::Ok();
     }
-    case ProvenanceRecord::Kind::kExecution: {
-      metadata::ExecutionId expected =
+    case Kind::kExecution: {
+      const metadata::ExecutionId expected =
           static_cast<metadata::ExecutionId>(store_.num_executions()) + 1;
-      if (record.execution.id != expected) {
-        return Status::InvalidArgument(
-            "execution id " + std::to_string(record.execution.id) +
-            " out of order (expected " + std::to_string(expected) + ")");
+      if (NodeId(record) != expected) {
+        return OutOfOrder("execution", NodeId(record), expected);
       }
-      store_.PutExecution(record.execution);
+      PutNode(store_, record);
       if (context_ != metadata::kInvalidId) {
         MLPROV_RETURN_IF_ERROR(store_.AddToContext(context_, expected));
       }
-      if (options_.enable_index) index_.OnExecution(record.execution);
-      segmenter_.OnExecution(record.execution);
+      const metadata::Execution& execution = store_.executions().back();
+      if (options_.enable_index) index_.OnExecution(execution);
+      segmenter_.OnExecution(execution);
       ++counts_.executions;
 #ifndef MLPROV_OBS_NOOP
-      if (record.span.valid()) {
-        if (trace_id_ == 0) trace_id_ = record.span.trace_id;
+      if (const obs::SpanContext span = SpanOf(record); span.valid()) {
+        if (trace_id_ == 0) trace_id_ = span.trace_id;
         // Mark the causal flow at arrival: only trainer executions start
         // one (see EmitExecSpan in the simulator), and only succeeded
         // ones — failed attempts never get a flow start.
         if (options_.emit_flows &&
-            record.execution.type == metadata::ExecutionType::kTrainer &&
-            record.execution.succeeded) {
+            execution.type == metadata::ExecutionType::kTrainer &&
+            execution.succeeded) {
           obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
           if (recorder.enabled()) {
-            recorder.RecordFlow(
-                't', "arrival", "flow.causal",
-                obs::FlowBindId(record.span, obs::FlowKind::kCausal));
+            recorder.RecordFlow('t', "arrival", "flow.causal",
+                                obs::FlowBindId(span, obs::FlowKind::kCausal));
           }
         }
       }
 #endif
       return Status::Ok();
     }
-    case ProvenanceRecord::Kind::kArtifact: {
-      metadata::ArtifactId expected =
+    case Kind::kArtifact: {
+      const metadata::ArtifactId expected =
           static_cast<metadata::ArtifactId>(store_.num_artifacts()) + 1;
-      if (record.artifact.id != expected) {
-        return Status::InvalidArgument(
-            "artifact id " + std::to_string(record.artifact.id) +
-            " out of order (expected " + std::to_string(expected) + ")");
+      if (NodeId(record) != expected) {
+        return OutOfOrder("artifact", NodeId(record), expected);
       }
-      store_.PutArtifact(record.artifact);
+      PutNode(store_, record);
       if (context_ != metadata::kInvalidId) {
         MLPROV_RETURN_IF_ERROR(
             store_.AddArtifactToContext(context_, expected));
       }
-      if (record.span_stats != nullptr) {
-        span_stats_.emplace(expected, record.span_stats);
+      if (const dataspan::SpanStatsPtr& stats = SpanStatsOf(record);
+          stats != nullptr) {
+        span_stats_.emplace(expected, stats);
       }
-      if (options_.enable_index) index_.OnArtifact(record.artifact);
-      segmenter_.OnArtifact(record.artifact);
+      const metadata::Artifact& artifact = store_.artifacts().back();
+      if (options_.enable_index) index_.OnArtifact(artifact);
+      segmenter_.OnArtifact(artifact);
       ++counts_.artifacts;
       return Status::Ok();
     }
-    case ProvenanceRecord::Kind::kEvent: {
+    case Kind::kEvent: {
       Status put = store_.PutEvent(record.event);
       if (!put.ok()) {
         return Status::InvalidArgument(
@@ -220,121 +296,6 @@ Status ProvenanceSession::IngestImpl(const ProvenanceRecord& record) {
     }
   }
   return Status::Internal("unknown provenance record kind");
-}
-
-common::Status ProvenanceSession::Ingest(const metadata::RecordRef& record) {
-  if (finished_) {
-    return Status::FailedPrecondition(
-        "ProvenanceSession: record ingested after Finish()");
-  }
-  if (!status_.ok()) return status_;  // poisoned: first violation is sticky
-  Status status = IngestImpl(record);
-  if (status.ok()) {
-    arrivals_.push_back(ArrivalTag(record.kind));
-  } else {
-    status_ = status;
-    RecordPoisoning(record);
-  }
-  if (status.ok() && options_.scorer != nullptr) SettleSealed();
-  return status;
-}
-
-void ProvenanceSession::RecordPoisoning(const metadata::RecordRef& record) {
-#ifndef MLPROV_OBS_NOOP
-  const RecordDigest digest = DigestOf(record);
-  obs::Json violating = obs::Json::Object();
-  violating.Set("kind", std::string(1, digest.kind));
-  violating.Set("id", digest.id);
-  violating.Set("time", digest.time);
-  violating.Set("record_index", static_cast<uint64_t>(counts_.records));
-  flight_.NoteError(status_.message(), std::move(violating));
-  MLPROV_COUNTER_INC("stream.poisoned_sessions");
-  (void)flight_.Dump();
-#else
-  (void)record;
-#endif
-}
-
-Status ProvenanceSession::IngestImpl(const metadata::RecordRef& record) {
-  ++counts_.records;
-  MLPROV_COUNTER_INC("stream.records");
-  MLPROV_SAMPLER_OBSERVE(1);
-#ifndef MLPROV_OBS_NOOP
-  {
-    const RecordDigest digest = DigestOf(record);
-    flight_.NoteRecord(digest.kind, digest.id, digest.time);
-  }
-#endif
-  switch (record.kind) {
-    case metadata::RecordRef::Kind::kContext: {
-      const metadata::ContextId assigned =
-          store_.PutContextBorrowed(record.context_name);
-      if (record.id != metadata::kInvalidId && record.id != assigned) {
-        return Status::InvalidArgument(
-            "context id " + std::to_string(record.id) +
-            " out of order (expected " + std::to_string(assigned) + ")");
-      }
-      context_ = assigned;
-      ++counts_.contexts;
-      return Status::Ok();
-    }
-    case metadata::RecordRef::Kind::kExecution: {
-      const metadata::ExecutionId expected =
-          static_cast<metadata::ExecutionId>(store_.num_executions()) + 1;
-      if (record.id != expected) {
-        return Status::InvalidArgument(
-            "execution id " + std::to_string(record.id) +
-            " out of order (expected " + std::to_string(expected) + ")");
-      }
-      store_.PutExecutionBorrowed(record.execution_type, record.start_time,
-                                  record.end_time, record.succeeded,
-                                  record.compute_cost, record.properties);
-      if (context_ != metadata::kInvalidId) {
-        MLPROV_RETURN_IF_ERROR(store_.AddToContext(context_, expected));
-      }
-      if (options_.enable_index) {
-        index_.OnExecution(store_.executions().back());
-      }
-      segmenter_.OnExecution(store_.executions().back());
-      ++counts_.executions;
-      return Status::Ok();
-    }
-    case metadata::RecordRef::Kind::kArtifact: {
-      const metadata::ArtifactId expected =
-          static_cast<metadata::ArtifactId>(store_.num_artifacts()) + 1;
-      if (record.id != expected) {
-        return Status::InvalidArgument(
-            "artifact id " + std::to_string(record.id) +
-            " out of order (expected " + std::to_string(expected) + ")");
-      }
-      store_.PutArtifactBorrowed(record.artifact_type, record.create_time,
-                                 record.properties);
-      if (context_ != metadata::kInvalidId) {
-        MLPROV_RETURN_IF_ERROR(
-            store_.AddArtifactToContext(context_, expected));
-      }
-      if (options_.enable_index) index_.OnArtifact(store_.artifacts().back());
-      segmenter_.OnArtifact(store_.artifacts().back());
-      ++counts_.artifacts;
-      return Status::Ok();
-    }
-    case metadata::RecordRef::Kind::kEvent: {
-      Status put = store_.PutEvent(record.event);
-      if (!put.ok()) {
-        return Status::InvalidArgument(
-            "event before its endpoints (execution " +
-            std::to_string(record.event.execution) + ", artifact " +
-            std::to_string(record.event.artifact) + "): " + put.message());
-      }
-      if (options_.enable_index) index_.OnEvent(record.event);
-      segmenter_.OnEvent(record.event);
-      ++counts_.events;
-      MLPROV_COUNTER_INC("stream.links");
-      if (options_.scorer != nullptr) ScoreTriggers(record.event);
-      return Status::Ok();
-    }
-  }
-  return Status::Internal("unknown record view kind");
 }
 
 common::StatusOr<SessionResult> ProvenanceSession::Finish() {

@@ -131,15 +131,18 @@ class ProvenanceSession : public sim::ProvenanceSink {
   common::Status Ingest(const sim::ProvenanceRecord& record);
 
   /// Zero-copy variant for the binary ingest path: consumes a borrowed
-  /// record view (see BinaryStoreCursor) under the same feed-order
-  /// contract and sticky error model. Strings are copied exactly once,
-  /// at store insertion — no intermediate owned record is built. Views
-  /// only need to live for the duration of the call. RecordRef carries
-  /// no span context or span stats, matching any serialized feed (the
-  /// text format does not persist them either). Graphlets stay
-  /// byte-identical across formats, and so do unscored analyses; a
-  /// scored session fed RecordRefs featurizes without span stats, so
-  /// its decisions differ from a live feed's (ROADMAP item 2).
+  /// record view (see BinaryStoreCursor). Both overloads run one ingest
+  /// body, so the feed-order contract, the sticky error model, the
+  /// counters and the flight recorder are the same; the forms differ
+  /// only in the node id the record claims, in how the node enters the
+  /// store (views fill it through Put*Borrowed, copying each string
+  /// once, so views only need to live for the duration of the call),
+  /// and in the side tables: RecordRef carries no span context or span
+  /// stats, matching any serialized feed (the text format does not
+  /// persist them either). Graphlets stay byte-identical across formats,
+  /// and so do unscored analyses; a scored session fed RecordRefs
+  /// featurizes without span stats, so its decisions differ from a live
+  /// feed's (ROADMAP item 2).
   common::Status Ingest(const metadata::RecordRef& record);
 
   /// ProvenanceSink adapter for live feeds: Ingest with the error
@@ -223,12 +226,19 @@ class ProvenanceSession : public sim::ProvenanceSink {
   void MarkRecovered() { recovered_ = true; }
 
  private:
-  common::Status IngestImpl(const sim::ProvenanceRecord& record);
-  common::Status IngestImpl(const metadata::RecordRef& record);
+  // One ingest path serves both Ingest overloads: member templates over
+  // the record type (sim::ProvenanceRecord or metadata::RecordRef),
+  // defined and instantiated only in session.cc.
+  /// Refuses records after Finish or a violation, runs IngestImpl, then
+  /// logs the arrival or latches the violation, and settles sealed cells.
+  template <typename Record>
+  common::Status IngestSticky(const Record& record);
+  template <typename Record>
+  common::Status IngestImpl(const Record& record);
   /// Latches the violation into the flight recorder (with the violating
   /// record as context) and dumps it if a dump directory is configured.
-  void RecordPoisoning(const sim::ProvenanceRecord& record);
-  void RecordPoisoning(const metadata::RecordRef& record);
+  template <typename Record>
+  void RecordPoisoning(const Record& record);
 
   // --- online scoring (no-ops when options_.scorer is null) ---
   /// Grows the per-cell scoring state to the segmenter's cell count.

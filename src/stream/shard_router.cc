@@ -180,7 +180,8 @@ class ShardWorker {
     out.slot = env.slot;
     out.pipeline_id = env.pipeline_id;
     out.shard = shard_;
-    const uint64_t before = records_;
+    // Unread when metrics are compiled out (MLPROV_OBS_NOOP).
+    [[maybe_unused]] const uint64_t before = records_;
     if (env.trace != nullptr) {
       records_ += FeedRecords(env);
       IngestTrace(*env.trace, out);
@@ -557,6 +558,12 @@ common::StatusOr<ShardedResult> ShardedProvenanceService::IngestBinary(
         "durable mode (wal_dir) is not supported for binary ingest: the "
         "WAL journals provenance records, and the binary path never "
         "materializes owned records");
+  }
+  if (options_.session.scorer != nullptr) {
+    return common::Status::InvalidArgument(
+        "a scorer is not supported for binary ingest: MLPB carries no span "
+        "statistics, so the scorer's input-data features would be computed "
+        "over none and its decisions would differ from the live feed's");
   }
   std::vector<Envelope> items(pipelines.size());
   for (size_t slot = 0; slot < items.size(); ++slot) {

@@ -193,9 +193,13 @@ class ShardedProvenanceService {
     std::string_view data;  // MLPB blob, borrowed for the call
   };
 
-  /// Sharded zero-copy ingest. Durable mode is rejected here
-  /// (InvalidArgument): the WAL journals provenance records, and the
-  /// binary path deliberately never materializes owned records.
+  /// Sharded zero-copy ingest, unscored. Two modes are rejected here
+  /// (InvalidArgument): durable mode, because the WAL journals provenance
+  /// records and the binary path deliberately never materializes owned
+  /// records; and a scorer in the session options, because MLPB carries
+  /// no span stats, so the input-data features would be computed over
+  /// none and the decisions would silently differ from the live feed's
+  /// (ROADMAP item 2 adds span stats to MLPB).
   common::StatusOr<ShardedResult> IngestBinary(
       const std::vector<BinaryPipeline>& pipelines);
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <utility>
 
@@ -21,6 +22,11 @@ namespace mlprov::stream {
 namespace fs = std::filesystem;
 using common::Status;
 using common::StatusOr;
+using metadata::binwire::AppendDouble;
+using metadata::binwire::AppendString;
+using metadata::binwire::AppendSvarint;
+using metadata::binwire::AppendVarint;
+using metadata::binwire::Reader;
 
 const char* ToString(WalSyncPolicy policy) {
   switch (policy) {
@@ -45,85 +51,17 @@ StatusOr<WalSyncPolicy> ParseWalSyncPolicy(std::string_view text) {
 
 namespace walwire {
 
-bool ReadVarint(Cursor& in, uint64_t* value) {
-  uint64_t result = 0;
-  int shift = 0;
-  const uint8_t* p = in.p;
-  while (p < in.end && shift < 64) {
-    const uint8_t byte = *p++;
-    result |= static_cast<uint64_t>(byte & 0x7Fu) << shift;
-    if ((byte & 0x80u) == 0) {
-      // Reject non-canonical 10th bytes that would overflow 64 bits.
-      if (shift == 63 && byte > 1) return false;
-      in.p = p;
-      *value = result;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;  // truncated or >10 bytes
-}
-
-bool ReadSvarint(Cursor& in, int64_t* value) {
-  uint64_t raw = 0;
-  if (!ReadVarint(in, &raw)) return false;
-  *value = metadata::binwire::ZigZagDecode(raw);
-  return true;
-}
-
-bool ReadDouble(Cursor& in, double* value) {
-  if (in.remaining() < 8) return false;
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(in.p[i]) << (8 * i);
-  }
-  in.p += 8;
-  std::memcpy(value, &bits, sizeof(*value));
-  return true;
-}
-
-bool ReadByte(Cursor& in, uint8_t* value) {
-  if (in.remaining() < 1) return false;
-  *value = *in.p++;
-  return true;
-}
-
-bool ReadString(Cursor& in, std::string* value) {
-  uint64_t length = 0;
-  if (!ReadVarint(in, &length)) return false;
-  if (length > in.remaining()) return false;
-  value->assign(reinterpret_cast<const char*>(in.p),
-                static_cast<size_t>(length));
-  in.p += length;
-  return true;
-}
-
-void AppendDouble(std::string& out, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(value));
-  // One append call, not eight push_backs: span-stats artifacts carry
-  // hundreds of doubles, and this is the WAL hot path.
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((bits >> (8 * i)) & 0xFFu);
-  }
-  out.append(buf, sizeof(buf));
-}
-
-void AppendString(std::string& out, std::string_view value) {
-  metadata::binwire::AppendVarint(out, value.size());
-  out.append(value.data(), value.size());
-}
+namespace {
 
 void AppendProperties(
     std::string& out,
     const std::map<std::string, metadata::PropertyValue>& properties) {
-  metadata::binwire::AppendVarint(out, properties.size());
+  AppendVarint(out, properties.size());
   for (const auto& [key, value] : properties) {
     AppendString(out, key);
     if (const auto* i = std::get_if<int64_t>(&value)) {
       out.push_back('i');
-      metadata::binwire::AppendSvarint(out, *i);
+      AppendSvarint(out, *i);
     } else if (const auto* d = std::get_if<double>(&value)) {
       out.push_back('d');
       AppendDouble(out, *d);
@@ -135,38 +73,40 @@ void AppendProperties(
 }
 
 bool ReadProperties(
-    Cursor& in, std::map<std::string, metadata::PropertyValue>* properties) {
+    Reader& in, std::map<std::string, metadata::PropertyValue>* properties) {
   uint64_t count = 0;
-  if (!ReadVarint(in, &count)) return false;
+  if (!in.U64(&count)) return false;
   if (count > in.remaining()) return false;  // >= 1 byte per property
   for (uint64_t i = 0; i < count; ++i) {
-    std::string key;
+    std::string_view key;
     uint8_t tag = 0;
-    if (!ReadString(in, &key) || !ReadByte(in, &tag)) return false;
+    if (!in.Column(&key) || !in.Byte(&tag)) return false;
     metadata::PropertyValue value;
     if (tag == 'i') {
       int64_t v = 0;
-      if (!ReadSvarint(in, &v)) return false;
+      if (!in.S64(&v)) return false;
       value = v;
     } else if (tag == 'd') {
       double v = 0.0;
-      if (!ReadDouble(in, &v)) return false;
+      if (!in.Double(&v)) return false;
       value = v;
     } else if (tag == 's') {
-      std::string v;
-      if (!ReadString(in, &v)) return false;
-      value = std::move(v);
+      std::string_view v;
+      if (!in.Column(&v)) return false;
+      value = std::string(v);
     } else {
       return false;
     }
-    (*properties)[std::move(key)] = std::move(value);
+    (*properties)[std::string(key)] = std::move(value);
   }
   return true;
 }
 
+}  // namespace
+
 void AppendSpanStats(std::string& out, const dataspan::SpanStats& stats) {
-  metadata::binwire::AppendSvarint(out, stats.span_number);
-  metadata::binwire::AppendVarint(out, stats.features.size());
+  AppendSvarint(out, stats.span_number);
+  AppendVarint(out, stats.features.size());
   for (const dataspan::FeatureStats& f : stats.features) {
     AppendString(out, f.name);
     out.push_back(static_cast<char>(f.kind));
@@ -182,33 +122,41 @@ void AppendSpanStats(std::string& out, const dataspan::SpanStats& stats) {
       for (double bin : f.bins) AppendDouble(out, bin);
       for (double count : f.top_term_counts) AppendDouble(out, count);
     }
-    metadata::binwire::AppendSvarint(out, f.unique_terms);
-    metadata::binwire::AppendSvarint(out, f.total_count);
+    AppendSvarint(out, f.unique_terms);
+    AppendSvarint(out, f.total_count);
   }
 }
 
-bool ReadSpanStats(Cursor& in, dataspan::SpanStats* stats) {
+/// The fewest bytes one encoded feature takes: an empty name's length
+/// byte, the kind byte, both double arrays, and two one-byte svarints.
+constexpr size_t kMinFeatureBytes =
+    1 + 1 + sizeof(dataspan::FeatureStats::bins) +
+    sizeof(dataspan::FeatureStats::top_term_counts) + 1 + 1;
+
+bool ReadSpanStats(Reader& in, dataspan::SpanStats* stats) {
   uint64_t count = 0;
-  if (!ReadSvarint(in, &stats->span_number)) return false;
-  if (!ReadVarint(in, &count)) return false;
-  // Each feature is >= 160 bytes of doubles; a cheap hostile-count bound.
-  if (count > in.remaining() / 8) return false;
+  if (!in.S64(&stats->span_number)) return false;
+  if (!in.U64(&count)) return false;
+  // A hostile count must not size the allocation below.
+  if (count > in.remaining() / kMinFeatureBytes) return false;
   stats->features.resize(static_cast<size_t>(count));
   for (dataspan::FeatureStats& f : stats->features) {
+    std::string_view name;
     uint8_t kind = 0;
-    if (!ReadString(in, &f.name) || !ReadByte(in, &kind)) return false;
+    if (!in.Column(&name) || !in.Byte(&kind)) return false;
     if (kind > static_cast<uint8_t>(dataspan::FeatureKind::kCategorical)) {
       return false;
     }
+    f.name.assign(name);
     f.kind = static_cast<dataspan::FeatureKind>(kind);
     for (double& bin : f.bins) {
-      if (!ReadDouble(in, &bin)) return false;
+      if (!in.Double(&bin)) return false;
     }
     for (double& c : f.top_term_counts) {
-      if (!ReadDouble(in, &c)) return false;
+      if (!in.Double(&c)) return false;
     }
-    if (!ReadSvarint(in, &f.unique_terms)) return false;
-    if (!ReadSvarint(in, &f.total_count)) return false;
+    if (!in.S64(&f.unique_terms)) return false;
+    if (!in.S64(&f.total_count)) return false;
   }
   return true;
 }
@@ -216,8 +164,6 @@ bool ReadSpanStats(Cursor& in, dataspan::SpanStats* stats) {
 namespace {
 
 void EncodePayload(const sim::ProvenanceRecord& record, std::string& out) {
-  using metadata::binwire::AppendSvarint;
-  using metadata::binwire::AppendVarint;
   switch (record.kind) {
     case sim::ProvenanceRecord::Kind::kContext:
       AppendSvarint(out, record.context.id);
@@ -256,39 +202,25 @@ void EncodePayload(const sim::ProvenanceRecord& record, std::string& out) {
   }
 }
 
-char TagOf(sim::ProvenanceRecord::Kind kind) {
-  switch (kind) {
-    case sim::ProvenanceRecord::Kind::kContext:
-      return 'C';
-    case sim::ProvenanceRecord::Kind::kExecution:
-      return 'E';
-    case sim::ProvenanceRecord::Kind::kArtifact:
-      return 'A';
-    case sim::ProvenanceRecord::Kind::kEvent:
-      return 'V';
-  }
-  return '?';
-}
-
-bool DecodePayload(char tag, Cursor payload, WalEntry* entry) {
+bool DecodePayload(char tag, Reader payload, WalEntry* entry) {
   sim::ProvenanceRecord& record = entry->record;
   record = sim::ProvenanceRecord();
   switch (tag) {
     case 'C': {
       record.kind = sim::ProvenanceRecord::Kind::kContext;
-      if (!ReadSvarint(payload, &record.context.id)) return false;
-      if (!ReadString(payload, &record.context.name)) return false;
+      std::string_view name;
+      if (!payload.S64(&record.context.id)) return false;
+      if (!payload.Column(&name)) return false;
+      record.context.name.assign(name);
       break;
     }
     case 'E': {
       record.kind = sim::ProvenanceRecord::Kind::kExecution;
       metadata::Execution& e = record.execution;
       uint8_t type = 0, succeeded = 0;
-      if (!ReadSvarint(payload, &e.id) || !ReadByte(payload, &type) ||
-          !ReadSvarint(payload, &e.start_time) ||
-          !ReadSvarint(payload, &e.end_time) ||
-          !ReadByte(payload, &succeeded) ||
-          !ReadDouble(payload, &e.compute_cost) ||
+      if (!payload.S64(&e.id) || !payload.Byte(&type) ||
+          !payload.S64(&e.start_time) || !payload.S64(&e.end_time) ||
+          !payload.Byte(&succeeded) || !payload.Double(&e.compute_cost) ||
           !ReadProperties(payload, &e.properties)) {
         return false;
       }
@@ -297,18 +229,18 @@ bool DecodePayload(char tag, Cursor payload, WalEntry* entry) {
       }
       e.type = static_cast<metadata::ExecutionType>(type);
       e.succeeded = succeeded != 0;
-      if (!ReadVarint(payload, &record.span.trace_id)) return false;
-      if (!ReadVarint(payload, &record.span.span_id)) return false;
+      if (!payload.U64(&record.span.trace_id)) return false;
+      if (!payload.U64(&record.span.span_id)) return false;
       break;
     }
     case 'A': {
       record.kind = sim::ProvenanceRecord::Kind::kArtifact;
       metadata::Artifact& a = record.artifact;
       uint8_t type = 0, has_stats = 0;
-      if (!ReadSvarint(payload, &a.id) || !ReadByte(payload, &type) ||
-          !ReadSvarint(payload, &a.create_time) ||
+      if (!payload.S64(&a.id) || !payload.Byte(&type) ||
+          !payload.S64(&a.create_time) ||
           !ReadProperties(payload, &a.properties) ||
-          !ReadByte(payload, &has_stats)) {
+          !payload.Byte(&has_stats)) {
         return false;
       }
       if (type >= metadata::kNumArtifactTypes || has_stats > 1) {
@@ -326,9 +258,8 @@ bool DecodePayload(char tag, Cursor payload, WalEntry* entry) {
       record.kind = sim::ProvenanceRecord::Kind::kEvent;
       metadata::Event& v = record.event;
       uint8_t kind = 0;
-      if (!ReadSvarint(payload, &v.execution) ||
-          !ReadSvarint(payload, &v.artifact) || !ReadByte(payload, &kind) ||
-          !ReadSvarint(payload, &v.time)) {
+      if (!payload.S64(&v.execution) || !payload.S64(&v.artifact) ||
+          !payload.Byte(&kind) || !payload.S64(&v.time)) {
         return false;
       }
       if (kind > 1) return false;
@@ -348,8 +279,8 @@ bool DecodePayload(char tag, Cursor payload, WalEntry* entry) {
 void EncodeFrame(const sim::ProvenanceRecord& record, uint64_t seq,
                  std::string& out) {
   const size_t frame_start = out.size();
-  out.push_back(TagOf(record.kind));
-  metadata::binwire::AppendVarint(out, seq);
+  out.push_back(FrameTag(record.kind));
+  AppendVarint(out, seq);
   // The payload is encoded straight into `out` — no per-frame temporary
   // buffer — behind a fixed-width length varint that is backpatched
   // once the payload size is known. Padding a varint with 0x80
@@ -374,13 +305,13 @@ void EncodeFrame(const sim::ProvenanceRecord& record, uint64_t seq,
   }
 }
 
-bool DecodeFrame(Cursor& in, WalEntry* entry) {
-  Cursor probe = in;
+bool DecodeFrame(Reader& in, WalEntry* entry) {
+  Reader probe = in;
   uint8_t tag = 0;
   uint64_t seq = 0, length = 0;
-  if (!ReadByte(probe, &tag)) return false;
+  if (!probe.Byte(&tag)) return false;
   if (tag != 'C' && tag != 'E' && tag != 'A' && tag != 'V') return false;
-  if (!ReadVarint(probe, &seq) || !ReadVarint(probe, &length)) return false;
+  if (!probe.U64(&seq) || !probe.U64(&length)) return false;
   if (length + 4 > probe.remaining()) return false;
   const uint8_t* payload_begin = probe.p;
   const uint8_t* crc_begin = payload_begin + length;
@@ -391,7 +322,7 @@ bool DecodeFrame(Cursor& in, WalEntry* entry) {
   const uint32_t actual =
       common::Crc32c(in.p, static_cast<size_t>(crc_begin - in.p));
   if (stored != actual) return false;
-  Cursor payload = probe;
+  Reader payload = probe;
   payload.end = crc_begin;
   if (!DecodePayload(static_cast<char>(tag), payload, entry)) return false;
   entry->seq = seq;
@@ -466,15 +397,26 @@ StatusOr<std::string> ReadFileBytes(const fs::path& path) {
 
 /// Parses the "MLPW" + version + varint start_seq header; returns false
 /// on any mismatch.
-bool ReadSegmentHeader(walwire::Cursor& in, uint64_t* start_seq) {
+bool ReadSegmentHeader(Reader& in, uint64_t* start_seq) {
   if (in.remaining() < 5) return false;
   if (std::memcmp(in.p, kWalMagic, 4) != 0) return false;
   in.p += 4;
   uint8_t version = 0;
-  if (!walwire::ReadByte(in, &version) || version != kWalVersion) {
-    return false;
+  if (!in.Byte(&version) || version != kWalVersion) return false;
+  return in.U64(start_seq);
+}
+
+/// The resync scan behind a defect: every CRC-valid frame from `in` on
+/// raises `evidence_end` to its seq + 1, for exact quarantine accounting.
+void ScanEvidence(Reader in, uint64_t* evidence_end) {
+  WalEntry entry;
+  while (!in.empty()) {
+    if (walwire::DecodeFrame(in, &entry)) {
+      *evidence_end = std::max(*evidence_end, entry.seq + 1);
+    } else {
+      ++in.p;
+    }
   }
-  return walwire::ReadVarint(in, start_seq);
 }
 
 Status ErrnoStatus(const std::string& what) {
@@ -534,7 +476,7 @@ Status WalWriter::RollSegment() {
   buffer_.clear();
   buffer_.append(kWalMagic, 4);
   buffer_.push_back(static_cast<char>(kWalVersion));
-  metadata::binwire::AppendVarint(buffer_, next_seq_);
+  AppendVarint(buffer_, next_seq_);
   file_size_ = 0;
   synced_size_ = 0;
   return Status::Ok();
@@ -656,7 +598,7 @@ StatusOr<WalRecovered> ReadWal(const std::string& dir,
     StatusOr<std::string> bytes_or = ReadFileBytes(segment.path);
     MLPROV_RETURN_IF_ERROR(bytes_or.status());
     const std::string& bytes = *bytes_or;
-    walwire::Cursor cursor(bytes);
+    Reader cursor(bytes);
     uint64_t header_start = 0;
     const bool header_ok =
         ReadSegmentHeader(cursor, &header_start) &&
@@ -668,14 +610,7 @@ StatusOr<WalRecovered> ReadWal(const std::string& dir,
       // journaled-but-lost records.
       if (header_ok) {
         evidence_end = std::max(evidence_end, header_start);
-        WalEntry entry;
-        while (cursor.remaining() > 0) {
-          if (walwire::DecodeFrame(cursor, &entry)) {
-            evidence_end = std::max(evidence_end, entry.seq + 1);
-          } else {
-            ++cursor.p;
-          }
-        }
+        ScanEvidence(cursor, &evidence_end);
       }
       out.quarantined_bytes += bytes.size();
       stranded_segments.push_back(segment.path);
@@ -691,14 +626,7 @@ StatusOr<WalRecovered> ReadWal(const std::string& dir,
       defect_offset = 0;
       if (header_ok) evidence_end = std::max(evidence_end, header_start);
       // Scan for CRC-valid frames to sharpen the accounting.
-      WalEntry entry;
-      while (cursor.remaining() > 0) {
-        if (walwire::DecodeFrame(cursor, &entry)) {
-          evidence_end = std::max(evidence_end, entry.seq + 1);
-        } else {
-          ++cursor.p;
-        }
-      }
+      ScanEvidence(cursor, &evidence_end);
       out.quarantined_bytes += bytes.size();
       stranded_segments.push_back(segment.path);
       continue;
@@ -721,16 +649,9 @@ StatusOr<WalRecovered> ReadWal(const std::string& dir,
         healthy = false;
         defect_segment = si;
         defect_offset = offset;
-        walwire::Cursor scan = cursor;
+        Reader scan = cursor;
         ++scan.p;  // the defect byte itself can't start a frame we trust
-        WalEntry later;
-        while (scan.p < scan.end) {
-          if (walwire::DecodeFrame(scan, &later)) {
-            evidence_end = std::max(evidence_end, later.seq + 1);
-          } else {
-            ++scan.p;
-          }
-        }
+        ScanEvidence(scan, &evidence_end);
         break;
       }
       ++expected_seq;

@@ -35,13 +35,13 @@
 /// quarantined, not applied).
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "dataspan/span_stats.h"
+#include "metadata/binary_serialization.h"
 #include "metadata/metadata_store.h"
 #include "simulator/provenance_sink.h"
 
@@ -200,48 +200,43 @@ common::StatusOr<size_t> PruneWalSegments(const std::string& dir,
 /// keeps failing. Returns the number of files moved.
 common::StatusOr<size_t> QuarantineWalDir(const std::string& dir);
 
-/// Low-level frame codec, exposed for the checkpoint encoder (which
-/// shares the primitive vocabulary) and for tests that craft hostile
-/// frames byte by byte.
+/// Frame codec over the MLPB wire vocabulary (metadata::binwire), exposed
+/// for the checkpoint encoder (which shares the span-stats encoding) and
+/// for tests that craft hostile frames byte by byte.
 namespace walwire {
 
-/// Bounded little-endian decode cursor. All Read* helpers return false
-/// (without advancing past `end`) on truncation or malformed input.
-struct Cursor {
-  const uint8_t* p = nullptr;
-  const uint8_t* end = nullptr;
+/// Frame tag of a record kind. Sessions log their arrival order in the
+/// same tags, and both record forms (sim::ProvenanceRecord,
+/// metadata::RecordRef) name their kinds alike.
+template <typename Kind>
+char FrameTag(Kind kind) {
+  switch (kind) {
+    case Kind::kContext:
+      return 'C';
+    case Kind::kExecution:
+      return 'E';
+    case Kind::kArtifact:
+      return 'A';
+    case Kind::kEvent:
+      return 'V';
+  }
+  return '?';
+}
 
-  explicit Cursor(std::string_view data)
-      : p(reinterpret_cast<const uint8_t*>(data.data())),
-        end(reinterpret_cast<const uint8_t*>(data.data()) + data.size()) {}
-  size_t remaining() const { return static_cast<size_t>(end - p); }
-};
-
-bool ReadVarint(Cursor& in, uint64_t* value);
-bool ReadSvarint(Cursor& in, int64_t* value);
-bool ReadDouble(Cursor& in, double* value);
-bool ReadByte(Cursor& in, uint8_t* value);
-bool ReadString(Cursor& in, std::string* value);
-
-void AppendDouble(std::string& out, double value);
-void AppendString(std::string& out, std::string_view value);
-void AppendProperties(
-    std::string& out,
-    const std::map<std::string, metadata::PropertyValue>& properties);
-bool ReadProperties(
-    Cursor& in, std::map<std::string, metadata::PropertyValue>* properties);
 void AppendSpanStats(std::string& out, const dataspan::SpanStats& stats);
-bool ReadSpanStats(Cursor& in, dataspan::SpanStats* stats);
+/// Rejects a feature count the remaining bytes cannot hold before
+/// allocating anything.
+bool ReadSpanStats(metadata::binwire::Reader& in, dataspan::SpanStats* stats);
 
 /// Appends one complete frame (tag + seq + length + payload + CRC).
 void EncodeFrame(const sim::ProvenanceRecord& record, uint64_t seq,
                  std::string& out);
 
-/// Decodes the frame at the cursor. Returns false without consuming
+/// Decodes the frame at the reader. Returns false without consuming
 /// input if the bytes do not form a complete, CRC-valid, well-formed
 /// frame (torn tail and corruption look the same here — the caller's
 /// resync scan distinguishes them).
-bool DecodeFrame(Cursor& in, WalEntry* entry);
+bool DecodeFrame(metadata::binwire::Reader& in, WalEntry* entry);
 
 }  // namespace walwire
 

@@ -244,7 +244,42 @@ TEST(BinarySerializationTest, VarintHelpersRoundTrip) {
   for (const int64_t v : {int64_t{0}, int64_t{1}, int64_t{-1}, int64_t{63},
                           int64_t{-64}, INT64_MAX, INT64_MIN}) {
     EXPECT_EQ(ZigZagDecode(ZigZagEncode(v)), v);
+    std::string bytes;
+    binwire::AppendSvarint(bytes, v);
+    binwire::Reader in(bytes);
+    int64_t back = 0;
+    EXPECT_TRUE(in.S64(&back));
+    EXPECT_EQ(back, v);
+    EXPECT_TRUE(in.empty());
   }
+
+  // The one reader MLPB, the WAL and checkpoints share accepts at most
+  // 10 bytes, a 10th byte of at most 1, and lengths padded with 0x80
+  // continuation bytes (as WAL frames write them); a failed read does
+  // not advance.
+  const auto read = [](std::string bytes, uint64_t* value) {
+    binwire::Reader in(bytes);
+    const bool ok = in.U64(value);
+    EXPECT_EQ(in.remaining(), ok ? 0u : bytes.size()) << ok;
+    return ok;
+  };
+  uint64_t value = 0;
+  const std::string nine(9, '\xFF');
+  EXPECT_TRUE(read(nine + '\x01', &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  EXPECT_TRUE(read(nine + '\x00', &value));
+  EXPECT_EQ(value, UINT64_MAX >> 1);
+  EXPECT_FALSE(read(nine + '\x02', &value));  // a 65th bit
+  EXPECT_FALSE(read(nine + '\x81', &value));  // an 11th byte follows
+  EXPECT_FALSE(read(nine + std::string("\x80\x00", 2), &value));
+  EXPECT_FALSE(read(nine, &value));  // truncated
+  EXPECT_FALSE(read("", &value));
+  // 5 and 0 padded to 4 and to 10 bytes; 11 bytes are one too many.
+  EXPECT_TRUE(read(std::string("\x85\x80\x80\x00", 4), &value));
+  EXPECT_EQ(value, 5u);
+  EXPECT_TRUE(read(std::string(9, '\x80') + '\x00', &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_FALSE(read(std::string(10, '\x80') + '\x00', &value));
 }
 
 TEST(BinarySerializationTest, CursorWalksFeedOrder) {

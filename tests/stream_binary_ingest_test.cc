@@ -14,7 +14,6 @@
 #include "core/waste_mitigation.h"
 #include "metadata/binary_serialization.h"
 #include "metadata/serialization.h"
-#include "simulator/binary_sink.h"
 #include "simulator/corpus_generator.h"
 #include "simulator/provenance_sink.h"
 #include "stream/fingerprint.h"
@@ -54,32 +53,98 @@ common::Status IngestText(const std::string& text,
 }
 
 TEST(StreamBinaryIngestTest, TextAndBinaryFeedsAreByteIdentical) {
+  // Three inputs, one result: the live record feed (ReplayTrace), the
+  // text file replayed through ReplayStore, and the zero-copy MLPB feed.
   const sim::Corpus corpus = sim::GenerateCorpus(SmallConfig());
   for (const sim::PipelineTrace& trace : corpus.pipelines) {
     const std::string text = metadata::SerializeStore(trace.store);
     const std::string binary = metadata::SerializeStoreBinary(trace.store);
 
+    ProvenanceSession live_session;
+    ASSERT_TRUE(ReplayTrace(trace, live_session).ok());
     ProvenanceSession text_session;
     ASSERT_TRUE(IngestText(text, text_session).ok());
     ProvenanceSession binary_session;
     ASSERT_TRUE(IngestBinary(binary, binary_session).ok());
 
-    // Replicated stores are byte-identical (and match the original).
-    EXPECT_EQ(metadata::SerializeStore(text_session.store()),
-              metadata::SerializeStore(binary_session.store()));
-    EXPECT_EQ(metadata::SerializeStore(binary_session.store()), text);
-    EXPECT_EQ(text_session.stats().records,
-              binary_session.stats().records);
+    // Replicated stores serialize to the trace's own bytes, in both
+    // formats.
+    for (const ProvenanceSession* session :
+         {&live_session, &text_session, &binary_session}) {
+      EXPECT_EQ(metadata::SerializeStore(session->store()), text);
+      EXPECT_EQ(metadata::SerializeStoreBinary(session->store()), binary);
+      EXPECT_EQ(session->stats().records, live_session.stats().records);
+    }
 
+    auto live_result = live_session.Finish();
     auto text_result = text_session.Finish();
     auto binary_result = binary_session.Finish();
+    ASSERT_TRUE(live_result.ok());
     ASSERT_TRUE(text_result.ok());
     ASSERT_TRUE(binary_result.ok());
-    EXPECT_EQ(FingerprintGraphlets(text_result->graphlets),
-              FingerprintGraphlets(binary_result->graphlets));
-    EXPECT_EQ(FingerprintGraphlets(binary_result->graphlets),
-              FingerprintGraphlets(core::SegmentTrace(trace.store)));
+    const uint64_t batch =
+        FingerprintGraphlets(core::SegmentTrace(trace.store));
+    EXPECT_EQ(FingerprintGraphlets(live_result->graphlets), batch);
+    EXPECT_EQ(FingerprintGraphlets(text_result->graphlets), batch);
+    EXPECT_EQ(FingerprintGraphlets(binary_result->graphlets), batch);
   }
+}
+
+/// Keeps every record a feeder emits.
+struct RecordingSink : sim::ProvenanceSink {
+  std::vector<sim::ProvenanceRecord> records;
+  void OnRecord(const sim::ProvenanceRecord& record) override {
+    records.push_back(record);
+  }
+};
+
+TEST(StreamBinaryIngestTest, FeederWalksABareStoreInTheTracesOrder) {
+  // ProvenanceFeeder over a trace's bare store emits the trace walk's
+  // record sequence, node for node, without span stats or span contexts.
+  const sim::Corpus corpus = sim::GenerateCorpus(SmallConfig());
+  size_t spans = 0;
+  for (const sim::PipelineTrace& trace : corpus.pipelines) {
+    RecordingSink from_trace;
+    sim::ProvenanceFeeder(&from_trace).Finish(trace);
+    RecordingSink from_store;
+    sim::ProvenanceFeeder bare(&from_store);
+    bare.Finish(trace.store);
+    EXPECT_EQ(bare.records_emitted(), from_store.records.size());
+    ASSERT_EQ(from_store.records.size(), from_trace.records.size());
+    for (size_t i = 0; i < from_trace.records.size(); ++i) {
+      const sim::ProvenanceRecord& want = from_trace.records[i];
+      const sim::ProvenanceRecord& got = from_store.records[i];
+      ASSERT_EQ(got.kind, want.kind) << "record " << i;
+      switch (want.kind) {
+        case sim::ProvenanceRecord::Kind::kContext:
+          EXPECT_EQ(got.context.id, want.context.id);
+          EXPECT_EQ(got.context.name, want.context.name);
+          EXPECT_TRUE(got.context.executions.empty());
+          EXPECT_TRUE(got.context.artifacts.empty());
+          break;
+        case sim::ProvenanceRecord::Kind::kExecution:
+          EXPECT_EQ(got.execution.id, want.execution.id);
+          EXPECT_EQ(got.execution.properties, want.execution.properties);
+          EXPECT_TRUE(want.span.valid());
+          break;
+        case sim::ProvenanceRecord::Kind::kArtifact:
+          EXPECT_EQ(got.artifact.id, want.artifact.id);
+          EXPECT_EQ(got.artifact.properties, want.artifact.properties);
+          if (want.span_stats != nullptr) ++spans;
+          break;
+        case sim::ProvenanceRecord::Kind::kEvent:
+          EXPECT_EQ(got.event.execution, want.event.execution);
+          EXPECT_EQ(got.event.artifact, want.event.artifact);
+          EXPECT_EQ(got.event.kind, want.event.kind);
+          EXPECT_EQ(got.event.time, want.event.time);
+          break;
+      }
+      EXPECT_EQ(got.span_stats, nullptr) << "record " << i;
+      EXPECT_FALSE(got.span.valid()) << "record " << i;
+      EXPECT_EQ(got.span.span_id, 0u) << "record " << i;
+    }
+  }
+  EXPECT_GT(spans, 0u);  // the trace walk did hand out span stats
 }
 
 TEST(StreamBinaryIngestTest, ScoringDecisionsMatchAcrossFormats) {
@@ -158,54 +223,6 @@ TEST(StreamBinaryIngestTest, BinaryFeedIsIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(t1[i], FingerprintGraphlets(result->graphlets));
   }
-}
-
-TEST(StreamBinaryIngestTest, BinarySinkEmitsCanonicalFraming) {
-  // A live feed through BinaryTraceSink must produce the exact bytes
-  // SerializeStoreBinary produces over the store a session replicates
-  // from the same feed.
-  const sim::Corpus corpus = sim::GenerateCorpus(SmallConfig());
-  for (const sim::PipelineTrace& trace : corpus.pipelines) {
-    sim::BinaryTraceSink sink;
-    sim::ProvenanceFeeder feeder(&sink);
-    feeder.Finish(trace);
-
-    ProvenanceSession session;
-    ASSERT_TRUE(ReplayTrace(trace, session).ok());
-
-    EXPECT_EQ(sink.records(), session.stats().records);
-    EXPECT_EQ(sink.Finalize(),
-              metadata::SerializeStoreBinary(session.store()));
-  }
-}
-
-TEST(StreamBinaryIngestTest, FinalizeIsAnIdempotentSnapshot) {
-  // Finalize never mutates the sink: consecutive calls are
-  // byte-identical, and ingesting after a Finalize yields the same bytes
-  // a never-finalized sink produces over the full feed.
-  const sim::Corpus corpus = sim::GenerateCorpus(SmallConfig());
-  const sim::PipelineTrace& trace = corpus.pipelines[0];
-
-  sim::BinaryTraceSink sink;
-  sim::ProvenanceFeeder feeder(&sink);
-  feeder.Flush(trace);  // partial feed (whatever is emittable mid-run)
-  const std::string mid_a = sink.Finalize();
-  const std::string mid_b = sink.Finalize();
-  EXPECT_EQ(mid_a, mid_b);
-
-  // The mid-feed snapshot is itself a valid MLPB buffer.
-  ProvenanceSession partial;
-  EXPECT_TRUE(IngestBinary(mid_a, partial).ok());
-
-  feeder.Finish(trace);  // keep ingesting after Finalize
-  const std::string full = sink.Finalize();
-  EXPECT_EQ(full, sink.Finalize());
-
-  sim::BinaryTraceSink fresh;
-  sim::ProvenanceFeeder refeed(&fresh);
-  refeed.Finish(trace);
-  EXPECT_EQ(full, fresh.Finalize());
-  EXPECT_EQ(full, metadata::SerializeStoreBinary(trace.store));
 }
 
 TEST(StreamBinaryIngestTest, LenientSalvageOfAnyTruncatedPrefixIsSafe) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "common/status.h"
 #include "core/graphlet_analysis.h"
 #include "core/waste_mitigation.h"
+#include "metadata/binary_serialization.h"
 #include "simulator/corpus_generator.h"
 #include "stream/fingerprint.h"
 #include "stream/online_scorer.h"
@@ -206,6 +208,57 @@ TEST_F(StreamCheckpointTest, RestoreRequiresAFreshSession) {
   ASSERT_TRUE(used.Ingest(*source.Get(0)).ok());
   EXPECT_EQ(used.RestoreState(payload).code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST_F(StreamCheckpointTest, SpanStatsFeatureCountIsBoundedByThePayload) {
+  // A checkpoint payload whose span claims one more feature than its
+  // bytes can hold (each takes at least 164) is rejected before anything
+  // is allocated; the exact count of minimal features restores.
+  constexpr uint8_t kFeatures = 3;
+  sim::ProvenanceRecord context;
+  context.kind = sim::ProvenanceRecord::Kind::kContext;
+  context.context.id = 1;
+  sim::ProvenanceRecord artifact;
+  artifact.kind = sim::ProvenanceRecord::Kind::kArtifact;
+  artifact.artifact.id = 1;
+  artifact.artifact.type = metadata::ArtifactType::kExamples;
+  auto stats = std::make_shared<dataspan::SpanStats>();
+  stats->span_number = 3;
+  stats->features.resize(kFeatures);  // empty names, one-byte svarints
+  artifact.span_stats = stats;
+  ProvenanceSession session;
+  ASSERT_TRUE(session.Ingest(context).ok());
+  ASSERT_TRUE(session.Ingest(artifact).ok());
+  std::string payload;
+  session.EncodeState(payload);
+
+  // Store blob, one span: its artifact id and span number, then the
+  // feature count.
+  std::string prefix;
+  metadata::binwire::AppendString(
+      prefix, metadata::SerializeStoreBinary(session.store()));
+  metadata::binwire::AppendVarint(prefix, 1);
+  metadata::binwire::AppendSvarint(prefix, 1);
+  metadata::binwire::AppendSvarint(prefix, stats->span_number);
+  ASSERT_EQ(payload.compare(0, prefix.size(), prefix), 0);
+  const size_t count_at = prefix.size();
+  ASSERT_EQ(static_cast<uint8_t>(payload[count_at]), kFeatures);
+
+  for (uint8_t claimed : {kFeatures, static_cast<uint8_t>(kFeatures + 1)}) {
+    std::string bytes = payload;
+    bytes[count_at] = static_cast<char>(claimed);
+    ProvenanceSession restored;
+    const common::Status status = restored.RestoreState(bytes);
+    if (claimed == kFeatures) {
+      ASSERT_TRUE(status.ok()) << status;
+      ASSERT_EQ(restored.span_stats().size(), 1u);
+      EXPECT_EQ(restored.span_stats().at(1)->NumFeatures(), kFeatures);
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find("span stats"), std::string::npos)
+          << status;
+    }
+  }
 }
 
 TEST_F(StreamCheckpointTest, FilesRoundTripWithCrcProtection) {

@@ -1,9 +1,14 @@
 #include "stream/session.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/status.h"
+#include "metadata/binary_serialization.h"
 #include "metadata/types.h"
+#include "obs/json.h"
 #include "simulator/provenance_sink.h"
 
 namespace mlprov::stream {
@@ -216,6 +221,145 @@ TEST(StreamSessionTest, IngestAfterFinishIsFailedPrecondition) {
       ExecRecord(1, ExecutionType::kExampleGen, 0, 10));
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(session.Finish().ok());  // double Finish also rejected
+}
+
+/// The borrowed view BinaryStoreCursor would yield for `record`;
+/// `properties` holds the property refs the view points into.
+metadata::RecordRef ViewOf(const ProvenanceRecord& record,
+                           std::vector<metadata::PropertyRef>* properties) {
+  metadata::RecordRef view;
+  properties->clear();
+  const auto borrow = [&](const auto& owned) {
+    for (const auto& [key, value] : owned) {
+      properties->push_back({key, metadata::BorrowProperty(value)});
+    }
+  };
+  switch (record.kind) {
+    case ProvenanceRecord::Kind::kContext:
+      view.kind = metadata::RecordRef::Kind::kContext;
+      view.id = record.context.id;
+      view.context_name = record.context.name;
+      break;
+    case ProvenanceRecord::Kind::kExecution:
+      view.kind = metadata::RecordRef::Kind::kExecution;
+      view.id = record.execution.id;
+      view.execution_type = record.execution.type;
+      view.start_time = record.execution.start_time;
+      view.end_time = record.execution.end_time;
+      view.succeeded = record.execution.succeeded;
+      view.compute_cost = record.execution.compute_cost;
+      borrow(record.execution.properties);
+      break;
+    case ProvenanceRecord::Kind::kArtifact:
+      view.kind = metadata::RecordRef::Kind::kArtifact;
+      view.id = record.artifact.id;
+      view.artifact_type = record.artifact.type;
+      view.create_time = record.artifact.create_time;
+      borrow(record.artifact.properties);
+      break;
+    case ProvenanceRecord::Kind::kEvent:
+      view.kind = metadata::RecordRef::Kind::kEvent;
+      view.event = record.event;
+      break;
+  }
+  view.properties = *properties;
+  return view;
+}
+
+/// The flight recorder's error entries (message + violating record's
+/// kind, id, time and record_index), without their wall-clock stamps.
+std::vector<std::string> ErrorEntries(const ProvenanceSession& session) {
+  std::vector<std::string> errors;
+  const obs::Json dump = session.flight_recorder().ToJson();
+  for (const obs::Json& entry : dump.Find("entries")->items()) {
+    if (entry.Find("kind")->AsString() == "error") {
+      errors.push_back(entry.Find("detail")->Dump());
+    }
+  }
+  return errors;
+}
+
+/// Hostile feeds must poison an owned-record session and a view session
+/// alike: one ingest body serves both forms.
+TEST(StreamSessionTest, PoisoningIsIdenticalAcrossRecordForms) {
+  using metadata::RecordRef;
+  ProvenanceRecord labelled =
+      ExecRecord(1, ExecutionType::kExampleGen, 0, 1 * kHour);
+  labelled.execution.properties["state"] = std::string("COMPLETE");
+  labelled.execution.properties["attempt"] = int64_t{2};
+  struct Feed {
+    const char* name;
+    std::vector<ProvenanceRecord> records;
+    /// Finish after this many records (SIZE_MAX: never).
+    size_t finish_after = SIZE_MAX;
+  };
+  const std::vector<Feed> feeds = {
+      {"mismatched context id",
+       {ContextRecord(5, "pipeline_0"), labelled}},
+      {"out-of-order execution id",
+       {ContextRecord(1, "pipeline_0"), labelled,
+        ExecRecord(3, ExecutionType::kTrainer, 2 * kHour, 3 * kHour),
+        ExecRecord(2, ExecutionType::kTrainer, 2 * kHour, 3 * kHour)}},
+      {"out-of-order artifact id",
+       {ContextRecord(1, "pipeline_0"), labelled,
+        ArtifactRecord(1, ArtifactType::kExamples, 1 * kHour),
+        ArtifactRecord(3, ArtifactType::kExamples, 1 * kHour)}},
+      {"event before its endpoints",
+       {ContextRecord(1, "pipeline_0"), labelled,
+        EventRecord(1, 1, EventKind::kOutput, 1 * kHour),
+        ArtifactRecord(1, ArtifactType::kExamples, 1 * kHour)}},
+      {"ingest after Finish",
+       {ContextRecord(1, "pipeline_0"), labelled,
+        ArtifactRecord(1, ArtifactType::kExamples, 1 * kHour)},
+       /*finish_after=*/2},
+  };
+  for (const Feed& feed : feeds) {
+    SCOPED_TRACE(feed.name);
+    ProvenanceSession owned;
+    ProvenanceSession viewed;
+    std::vector<metadata::PropertyRef> properties;
+    size_t failures = 0;
+    for (size_t i = 0; i < feed.records.size(); ++i) {
+      if (i == feed.finish_after) {
+        ASSERT_TRUE(owned.Finish().ok());
+        ASSERT_TRUE(viewed.Finish().ok());
+      }
+      const common::Status a = owned.Ingest(feed.records[i]);
+      const common::Status b =
+          viewed.Ingest(ViewOf(feed.records[i], &properties));
+      EXPECT_EQ(a.code(), b.code()) << "record " << i;
+      EXPECT_EQ(a.message(), b.message()) << "record " << i;
+      if (!a.ok()) ++failures;
+    }
+    EXPECT_GT(failures, 0u);
+    EXPECT_EQ(owned.status().code(), viewed.status().code());
+    EXPECT_EQ(owned.status().message(), viewed.status().message());
+
+    const SessionStats sa = owned.stats();
+    const SessionStats sb = viewed.stats();
+    EXPECT_EQ(sa.records, sb.records);
+    EXPECT_EQ(sa.contexts, sb.contexts);
+    EXPECT_EQ(sa.executions, sb.executions);
+    EXPECT_EQ(sa.artifacts, sb.artifacts);
+    EXPECT_EQ(sa.events, sb.events);
+    EXPECT_EQ(sa.segmenter.cells, sb.segmenter.cells);
+    EXPECT_EQ(sa.segmenter.events, sb.segmenter.events);
+    EXPECT_EQ(owned.Health().ToJson().Dump(),
+              viewed.Health().ToJson().Dump());
+
+    const std::vector<std::string> errors = ErrorEntries(owned);
+    EXPECT_EQ(errors, ErrorEntries(viewed));
+    EXPECT_EQ(owned.flight_recorder().ToJson().Find("records")->Dump(),
+              viewed.flight_recorder().ToJson().Find("records")->Dump());
+#ifndef MLPROV_OBS_NOOP
+    // Ingest after Finish is refused before it reaches the body, so it
+    // latches nothing; every other violation poisons once.
+    EXPECT_EQ(errors.size(), feed.finish_after == SIZE_MAX ? 1u : 0u);
+#endif
+    // The stores replicated up to the violation are the same too.
+    EXPECT_EQ(metadata::SerializeStoreBinary(owned.store()),
+              metadata::SerializeStoreBinary(viewed.store()));
+  }
 }
 
 }  // namespace

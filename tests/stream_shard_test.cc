@@ -365,6 +365,37 @@ TEST(ShardBinaryTest, DurableBinaryIngestIsRejected) {
   EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
 }
 
+/// MLPB carries no span stats, so a scored binary run would featurize
+/// the input data over nothing and return decisions that differ from the
+/// live feed's without an error. Until MLPB carries span stats, a scorer
+/// is refused up front; the same blobs ingest unscored.
+TEST(ShardBinaryTest, ScoredBinaryIngestIsRejected) {
+  const sim::Corpus corpus = sim::GenerateCorpus(SmallConfig());
+  auto segmented = core::SegmentCorpus(corpus);
+  auto dataset = core::BuildWasteDataset(corpus, segmented);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  auto scorer = OnlineScorer::Train(*dataset);
+  ASSERT_TRUE(scorer.ok()) << scorer.status();
+  const std::vector<std::string> blobs = SerializeCorpus(corpus);
+  const auto pipelines = BinaryPipelines(corpus, blobs);
+
+  ShardRouterOptions options;
+  options.shards = 2;
+  options.session.scorer = &*scorer;
+  ShardedProvenanceService scored(options);
+  auto result = scored.IngestBinary(pipelines);
+  EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("span statistics"),
+            std::string::npos)
+      << result.status();
+
+  options.session.scorer = nullptr;
+  ShardedProvenanceService unscored(options);
+  auto accepted = unscored.IngestBinary(pipelines);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  EXPECT_TRUE(accepted->FirstError().ok()) << accepted->FirstError();
+}
+
 // ---------------------------------------------------------------------
 // Durable sharded ingest
 

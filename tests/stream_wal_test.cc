@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "dataspan/feature_stats.h"
+#include "metadata/binary_serialization.h"
 #include "metadata/types.h"
 #include "simulator/provenance_sink.h"
 
@@ -155,6 +157,62 @@ std::vector<ProvenanceRecord> WriteFeed(WalWriter& wal, size_t n,
     EXPECT_TRUE(wal.Append(feed[i]).ok());
   }
   return feed;
+}
+
+/// Span stats of `features` features that each encode to the minimum:
+/// empty name, one-byte svarints.
+dataspan::SpanStatsPtr MinimalStats(size_t features) {
+  auto stats = std::make_shared<dataspan::SpanStats>();
+  stats->span_number = 3;
+  stats->features.resize(features);
+  return stats;
+}
+
+/// Replaces the frame at the start of `frame` with one whose artifact
+/// claims `claimed` features, keeping the frame CRC-valid. The payload is
+/// the same length, so only the count byte and the CRC change.
+std::string ClaimFeatures(std::string frame, size_t count_at,
+                          uint8_t claimed) {
+  frame[count_at] = static_cast<char>(claimed);
+  const uint32_t crc = common::Crc32c(frame.data(), frame.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    frame[frame.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  return frame;
+}
+
+TEST_F(StreamWalTest, SpanStatsFeatureCountIsBoundedByTheFrame) {
+  // A feature encodes to at least 164 bytes; a count the frame cannot
+  // hold is rejected before anything is allocated, and the exact count
+  // of minimal features still decodes.
+  constexpr uint8_t kFeatures = 3;
+  ProvenanceRecord record;
+  record.kind = ProvenanceRecord::Kind::kArtifact;
+  record.artifact.id = 1;
+  record.artifact.type = ArtifactType::kExamples;
+  record.span_stats = MinimalStats(kFeatures);
+  std::string frame;
+  walwire::EncodeFrame(record, /*seq=*/0, frame);
+
+  // tag, seq, 4-byte padded length; then id, type, create time, no
+  // properties, has-stats flag, span number, feature count.
+  const size_t count_at = 1 + 1 + 4 + 1 + 1 + 1 + 1 + 1 + 1;
+  ASSERT_EQ(static_cast<uint8_t>(frame[count_at]), kFeatures);
+  ASSERT_EQ(frame.size(), count_at + 1 + kFeatures * 164u + 4);
+
+  for (uint8_t claimed : {kFeatures, static_cast<uint8_t>(kFeatures + 1),
+                          static_cast<uint8_t>(kFeatures * 164 / 8)}) {
+    const std::string bytes = ClaimFeatures(frame, count_at, claimed);
+    metadata::binwire::Reader in(bytes);
+    WalEntry entry;
+    EXPECT_EQ(walwire::DecodeFrame(in, &entry), claimed == kFeatures)
+        << "claimed " << int{claimed};
+    if (claimed == kFeatures) {
+      ASSERT_NE(entry.record.span_stats, nullptr);
+      EXPECT_EQ(entry.record.span_stats->NumFeatures(), kFeatures);
+      EXPECT_TRUE(in.empty());
+    }
+  }
 }
 
 TEST_F(StreamWalTest, SyncPolicyParsesAndPrints) {
@@ -333,15 +391,15 @@ TEST_F(StreamWalTest, EveryTruncatedPrefixSalvagesToTheIntactPrefix) {
   // Frame boundaries via the strict codec: prefix_entries[len] = how
   // many whole frames an `len`-byte file contains.
   const size_t header_size = [&] {
-    walwire::Cursor cursor(bytes);
+    metadata::binwire::Reader cursor(bytes);
     cursor.p += 5;  // magic + version
     uint64_t start_seq = 0;
-    EXPECT_TRUE(walwire::ReadVarint(cursor, &start_seq));
+    EXPECT_TRUE(cursor.U64(&start_seq));
     return bytes.size() - cursor.remaining();
   }();
   std::vector<size_t> frame_end;  // cumulative end offset of frame i
   {
-    walwire::Cursor cursor(bytes);
+    metadata::binwire::Reader cursor(bytes);
     cursor.p += header_size;
     WalEntry entry;
     while (walwire::DecodeFrame(cursor, &entry)) {
